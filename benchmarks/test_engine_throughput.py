@@ -64,9 +64,8 @@ def _assert_saturated(result):
 
 
 def test_saturation_heap(benchmark, throughput):
-    # Explicit "heap": the default is now "auto" (which would pick the
-    # calendar queue for this geometry), but this benchmark pins the
-    # binary-heap reference point.
+    # Explicit "heap" (also the default): this benchmark pins the
+    # binary-heap reference point whatever the default becomes.
     network, result, wall = run_once(benchmark, _timed_run, scheduler="heap")
     _assert_saturated(result)
     assert network.scheduler.kind == "heap"

@@ -11,13 +11,16 @@ reaching into submodules::
 
 The facade re-exports the frozen spec types (:class:`CampaignSpec`,
 :class:`StageSpec`, :class:`ScenarioSpec`, ...) and the runner
-primitives they lower onto, plus :func:`list_figures` for discovering
-the sweepable figure names.  Import from here rather than from the
-implementation modules: these names are the package's compatibility
-surface.
+primitives they lower onto, plus :func:`list_figures`,
+:func:`figure_spec`, :func:`figure_knobs` and :func:`figure_is_seeded`,
+which read the figure registry (:data:`repro.figures.FIGURES`).
+Import from here rather than from the implementation modules: these
+names are the package's compatibility surface.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 from repro.campaign.loader import CampaignError, load_campaign, parse_campaign
 from repro.campaign.run import (
@@ -27,15 +30,9 @@ from repro.campaign.run import (
     run_campaign,
     write_run_dir,
 )
-from repro.campaign.spec import (
-    AnalysisSettings,
-    CampaignArm,
-    CampaignSpec,
-    StageSpec,
-    figure_is_seeded,
-    figure_knobs,
-)
+from repro.campaign.spec import AnalysisSettings, CampaignArm, CampaignSpec, StageSpec
 from repro.campaign.validate import ValidationReport, validate_run
+from repro.figures import FIGURES, figure_cells_spec, get_figure
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import ScenarioSpec, canonical, content_key
@@ -70,25 +67,32 @@ __all__ = [
 
 def list_figures() -> tuple[str, ...]:
     """The sweepable figure names campaigns and ``repro sweep`` accept."""
-    from repro.runner.tasks import FIGURE_CELL_TASKS
-
-    return tuple(FIGURE_CELL_TASKS)
+    return tuple(FIGURES)
 
 
-def figure_spec(figure: str, **knobs: object) -> ScenarioSpec:
+def figure_knobs(figure: str) -> frozenset[str]:
+    """The knob names that apply to (and key) one figure's arms.
+
+    Lab figures consume ``noise`` (their outcomes are otherwise exact);
+    every other figure consumes ``quick``.  Keeping inapplicable knobs
+    out of a stage keeps them out of the content keys, so an inert knob
+    can never split the cache.
+    """
+    return get_figure(figure).knobs
+
+
+def figure_is_seeded(figure: str) -> bool:
+    """Whether the figure consumes the seed (False ⇒ one seed-free arm)."""
+    return get_figure(figure).seeded
+
+
+def figure_spec(figure: str, **knobs: Any) -> ScenarioSpec:
     """One content-keyed ``figure.cells`` arm for ``figure``.
 
-    Thin wrapper over the per-figure entry points in
-    :data:`repro.experiments.FIGURE_SPECS`; accepts that figure's knobs
-    (``noise=`` for lab figures, ``quick=`` for the rest, ``seed=`` for
-    seeded figures).
+    Accepts the figure's knobs (``noise=`` for lab figures, ``quick=``
+    for the rest) and ``seed=`` for seeded figures; any other keyword
+    raises :class:`ValueError` naming the figure's allowed knobs.
     """
-    from repro.experiments import FIGURE_SPECS
-
-    try:
-        entry = FIGURE_SPECS[figure]
-    except KeyError:
-        raise KeyError(
-            f"unknown figure {figure!r}; choose one of {list_figures()}"
-        ) from None
-    return entry(**knobs)
+    entry = get_figure(figure)
+    entry.check_knobs(knobs, entry.knobs | ({"seed"} if entry.seeded else set()))
+    return figure_cells_spec(figure, **knobs)

@@ -29,14 +29,7 @@ from repro.campaign.run import (
     run_campaign,
     write_run_dir,
 )
-from repro.campaign.spec import (
-    AnalysisSettings,
-    CampaignArm,
-    CampaignSpec,
-    StageSpec,
-    figure_is_seeded,
-    figure_knobs,
-)
+from repro.campaign.spec import AnalysisSettings, CampaignArm, CampaignSpec, StageSpec
 from repro.campaign.validate import ValidationReport, validate_run
 
 __all__ = [
@@ -52,8 +45,6 @@ __all__ = [
     "StageSpec",
     "ValidationReport",
     "confidence_half_width",
-    "figure_is_seeded",
-    "figure_knobs",
     "load_campaign",
     "parse_campaign",
     "run_campaign",

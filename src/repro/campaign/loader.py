@@ -33,13 +33,8 @@ from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
-from repro.campaign.spec import (
-    AnalysisSettings,
-    CampaignSpec,
-    StageSpec,
-    figure_is_seeded,
-    figure_knobs,
-)
+from repro.campaign.spec import AnalysisSettings, CampaignSpec, StageSpec
+from repro.figures import get_figure
 
 __all__ = ["CampaignError", "load_campaign", "parse_campaign"]
 
@@ -169,17 +164,14 @@ def _parse_stage(raw: Any, index: int, defaults: Mapping[str, Any]) -> list[Stag
     figure = raw.get("figure")
     if not isinstance(figure, str) or not figure:
         raise CampaignError(f"{where}: 'figure' is required and must be a string")
-    from repro.runner.tasks import FIGURE_CELL_TASKS
-
-    if figure not in FIGURE_CELL_TASKS:
-        raise CampaignError(
-            f"{where}: unknown figure {figure!r}; choose one of {list(FIGURE_CELL_TASKS)}"
-        )
+    try:
+        allowed = get_figure(figure).knobs
+    except KeyError as exc:
+        raise CampaignError(f"{where}: {exc.args[0]}") from None
     where = f"stages[{index}] ({figure})"
     base_name = raw.get("name", figure)
     base_name = _require_str(base_name, f"{where}.name")
 
-    allowed = figure_knobs(figure)
     knobs: dict[str, Any] = {}
     for knob in sorted(allowed & set(defaults)):
         knobs[knob] = _check_knob(knob, defaults[knob], f"defaults.{knob}")
@@ -261,7 +253,7 @@ def _parse_seed_grid(
     collapse to the empty grid (one seed-free arm) no matter what the
     file says — replications of a pure function are a single cache entry.
     """
-    if not figure_is_seeded(figure):
+    if not get_figure(figure).seeded:
         return ()
     if "seeds" in raw and "replications" in raw:
         raise CampaignError(f"{where}: give either 'seeds' or 'replications', not both")

@@ -9,9 +9,8 @@ are the same computation, and every compiled arm reuses the runner's
 :func:`~repro.runner.spec.content_key` so results dedupe across stages
 and across campaigns through the on-disk cache.
 
-The compilation target is the ``figure.cells`` task via the
-spec-producing entry points each experiment module exports
-(:data:`repro.experiments.FIGURE_SPECS`): a stage lowers to one
+The compilation target is the ``figure.cells`` task, built from the
+figure's entry in :data:`repro.figures.FIGURES`: a stage lowers to one
 :class:`~repro.runner.spec.ScenarioSpec` per seed, with deterministic
 figures collapsing to a single seed-free arm.
 """
@@ -24,10 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.experiments.lab_common import (
-    DETERMINISTIC_FIGURES,
-    LAB_CELL_FIGURES,
-)
+from repro.figures import figure_cells_spec, get_figure
 from repro.runner.spec import ScenarioSpec, canonical, content_key
 
 __all__ = [
@@ -35,27 +31,7 @@ __all__ = [
     "StageSpec",
     "CampaignSpec",
     "CampaignArm",
-    "figure_knobs",
-    "figure_is_seeded",
 ]
-
-
-def figure_knobs(figure: str) -> frozenset[str]:
-    """The knob names that apply to (and key) one figure's arms.
-
-    Lab figures consume ``noise`` (their outcomes are otherwise exact);
-    every other figure consumes ``quick``.  Keeping inapplicable knobs
-    out of a stage keeps them out of the content keys, so an inert knob
-    can never split the cache.
-    """
-    if figure in LAB_CELL_FIGURES:
-        return frozenset({"noise"})
-    return frozenset({"quick"})
-
-
-def figure_is_seeded(figure: str) -> bool:
-    """Whether the figure consumes the seed (False ⇒ one seed-free arm)."""
-    return figure not in DETERMINISTIC_FIGURES
 
 
 @dataclass(frozen=True)
@@ -89,11 +65,11 @@ class StageSpec:
         Unique stage name inside the campaign (defaults to the figure
         name in the loader; sweep expansion suffixes ``[knob=value]``).
     figure:
-        A sweepable figure name (one of
-        :data:`repro.runner.tasks.FIGURE_CELL_TASKS`).
+        A figure name (a key of :data:`repro.figures.FIGURES`).
     knobs:
-        Figure-applicable knob settings (``noise`` for lab figures,
-        ``quick`` for the rest).  Canonicalized, never mutated.
+        Figure-applicable knob settings (the entry's ``knobs``: ``noise``
+        for lab figures, ``quick`` for the rest).  Canonicalized, never
+        mutated.
     seeds:
         Seed grid; one arm per seed.  Empty for deterministic figures,
         which compile to a single seed-free arm.
@@ -108,13 +84,12 @@ class StageSpec:
 
     def __post_init__(self) -> None:
         """Validate knob applicability and the seed grid shape."""
-        extra = set(self.knobs) - figure_knobs(self.figure)
-        if extra:
-            raise ValueError(
-                f"stage {self.name!r}: knob(s) {sorted(extra)} do not apply to "
-                f"figure {self.figure!r} (allowed: {sorted(figure_knobs(self.figure))})"
-            )
-        if figure_is_seeded(self.figure):
+        figure = get_figure(self.figure)
+        try:
+            figure.check_knobs(self.knobs, figure.knobs)
+        except ValueError as exc:
+            raise ValueError(f"stage {self.name!r}: {exc}") from None
+        if figure.seeded:
             if not self.seeds:
                 raise ValueError(
                     f"stage {self.name!r}: figure {self.figure!r} consumes the "
@@ -133,18 +108,15 @@ class StageSpec:
     @property
     def deterministic(self) -> bool:
         """Whether this stage compiles to a single seed-free arm."""
-        return not figure_is_seeded(self.figure)
+        return not get_figure(self.figure).seeded
 
     def arms(self) -> tuple[ScenarioSpec, ...]:
         """Lower this stage onto runner specs, one per seed."""
-        from repro.experiments import FIGURE_SPECS
-
-        entry = FIGURE_SPECS[self.figure]
         knobs = dict(self.knobs)
         if self.deterministic:
-            return (entry(**knobs, label=f"{self.name}[deterministic]"),)
+            return (figure_cells_spec(self.figure, **knobs, label=f"{self.name}[deterministic]"),)
         return tuple(
-            entry(**knobs, seed=seed, label=f"{self.name}[seed={seed}]")
+            figure_cells_spec(self.figure, **knobs, seed=seed, label=f"{self.name}[seed={seed}]")
             for seed in self.seeds
         )
 

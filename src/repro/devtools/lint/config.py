@@ -34,6 +34,7 @@ RULE_SCOPES: dict[str, tuple[str, ...]] = {
         "repro.workload",
         "repro.obs",
         "repro.campaign",
+        "repro.figures",
     ),
     # Wall-clock reads: simulation, runner and experiment layers must be
     # pure functions of their specs.  The observability layer is in scope
@@ -47,6 +48,7 @@ RULE_SCOPES: dict[str, tuple[str, ...]] = {
         "repro.experiments",
         "repro.obs",
         "repro.campaign",
+        "repro.figures",
     ),
     # Unordered iteration: same blast radius as DET002.
     "DET003": (
@@ -57,6 +59,7 @@ RULE_SCOPES: dict[str, tuple[str, ...]] = {
         "repro.experiments",
         "repro.obs",
         "repro.campaign",
+        "repro.figures",
     ),
     # Content-key hygiene and API hygiene patrol the whole package.
     "KEY001": ("repro",),

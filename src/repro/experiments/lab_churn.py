@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.core.designs.switchback import SwitchbackDesign
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, packet_sweep_to_figure
-from repro.runner.spec import ScenarioSpec
+from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
 from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -53,7 +52,6 @@ __all__ = [
     "ChurnStats",
     "ChurnBiasComparison",
     "run_churn_experiment",
-    "churn_spec",
     "SwitchbackRampOutcome",
     "run_switchback_ramp_experiment",
 ]
@@ -575,15 +573,3 @@ def run_switchback_ramp_experiment(
         within_interval_ab_estimate=within_interval,
         allocation_units=None if traffic_split >= 1.0 else (k_lo, k_hi),
     )
-
-
-def churn_spec(
-    quick: bool = False, seed: int | None = 0, label: str | None = None
-) -> ScenarioSpec:
-    """Runner spec for one topo_churn replication (seeded arrivals).
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_churn_experiment`'s scalar cells at one seed.
-    """
-    return figure_cells_spec("topo_churn", quick=quick, seed=seed, label=label)

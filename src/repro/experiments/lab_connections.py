@@ -16,14 +16,13 @@ tests of the paper's Section 3.1:
 
 from __future__ import annotations
 
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, sweep_to_figure
-from repro.runner.spec import ScenarioSpec
+from repro.experiments.lab_common import LabFigure, sweep_to_figure
 from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.competition import CompetitionModel
 from repro.netsim.fluid.lab import run_lab_sweep
 from repro.netsim.fluid.link import BottleneckLink
 
-__all__ = ["run_connections_experiment", "connections_spec"]
+__all__ = ["run_connections_experiment"]
 
 
 def run_connections_experiment(
@@ -77,15 +76,3 @@ def run_connections_experiment(
             f"{control_connections} (control) TCP Reno connections on a shared bottleneck"
         ),
     )
-
-
-def connections_spec(
-    noise: float = 0.0, seed: int | None = 0, label: str | None = None
-) -> ScenarioSpec:
-    """Runner spec for one Figure 2a (parallel connections) replication.
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_connections_experiment`'s scalar cells at one seed.
-    """
-    return figure_cells_spec("fig2a", noise=noise, seed=seed, label=label)

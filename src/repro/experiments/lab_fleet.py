@@ -34,9 +34,6 @@ actually needed after content-key dedupe.
 
 from __future__ import annotations
 
-from repro.experiments.lab_common import figure_cells_spec
-from repro.runner.spec import ScenarioSpec
-
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -48,7 +45,6 @@ __all__ = [
     "FleetOutcome",
     "FleetBiasComparison",
     "run_fleet_experiment",
-    "fleet_spec",
 ]
 
 #: Full-scale fleet defaults: 20k units on 200 edge bottlenecks.
@@ -231,15 +227,3 @@ def run_fleet_experiment(
         unique_sims=unique,
         counters=counters,
     )
-
-
-def fleet_spec(
-    quick: bool = False, seed: int | None = 0, label: str | None = None
-) -> ScenarioSpec:
-    """Runner spec for one fleet replication (seeded assignment + loss).
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_fleet_experiment`'s scalar cells at one seed.
-    """
-    return figure_cells_spec("fleet", quick=quick, seed=seed, label=label)

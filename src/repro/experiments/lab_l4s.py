@@ -43,14 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, packet_sweep_to_figure
-from repro.runner.spec import ScenarioSpec
+from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
 from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
 
-__all__ = ["L4S_ARMS", "L4sBiasComparison", "run_l4s_experiment", "l4s_spec"]
+__all__ = ["L4S_ARMS", "L4sBiasComparison", "run_l4s_experiment"]
 
 #: The four arms of the L4S lab: (arm name, queue discipline, the
 #: ``FlowConfig.ecn`` mode of every unit, whether units pace).  The L4S
@@ -207,13 +206,3 @@ def run_l4s_experiment(
         coexistence_l4s_mbps=mixed.group_mean_throughput(True),
         coexistence_classic_mbps=mixed.group_mean_throughput(False),
     )
-
-
-def l4s_spec(quick: bool = False, label: str | None = None) -> ScenarioSpec:
-    """Runner spec for the topo_l4s figure (deterministic lottery seed).
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_l4s_experiment`'s scalar cells.
-    """
-    return figure_cells_spec("topo_l4s", quick=quick, label=label)

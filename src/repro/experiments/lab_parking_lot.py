@@ -33,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, packet_sweep_to_figure
-from repro.runner.spec import ScenarioSpec
+from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
 from repro.experiments.lab_topology import AqmBiasComparison, run_aqm_experiment
 from repro.netsim.packet.network import parking_lot_path, parking_lot_queues
 from repro.netsim.packet.simulation import FlowConfig
@@ -46,8 +45,6 @@ __all__ = [
     "SEGMENT_SPAN",
     "ParkingLotComparison",
     "run_parking_lot_experiment",
-    "parking_lot_spec",
-    "fq_figure_spec",
     "run_fq_experiment",
 ]
 
@@ -340,23 +337,3 @@ def run_fq_experiment(
         cache=cache,
         name="topo_fq",
     )
-
-
-def parking_lot_spec(quick: bool = False, label: str | None = None) -> ScenarioSpec:
-    """Runner spec for the topo_parking figure (deterministic, seed-free).
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_parking_lot_experiment`'s scalar cells.
-    """
-    return figure_cells_spec("topo_parking", quick=quick, label=label)
-
-
-def fq_figure_spec(quick: bool = False, label: str | None = None) -> ScenarioSpec:
-    """Runner spec for the topo_fq figure (deterministic, seed-free).
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_fq_experiment`'s scalar cells.
-    """
-    return figure_cells_spec("topo_fq", quick=quick, label=label)

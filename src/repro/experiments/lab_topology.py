@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, packet_sweep_to_figure
-from repro.runner.spec import ScenarioSpec
+from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -37,8 +36,6 @@ __all__ = [
     "DEFAULT_RTT_SPREAD_MS",
     "AqmBiasComparison",
     "run_rtt_experiment",
-    "rtt_spec",
-    "aqm_spec",
     "run_aqm_experiment",
     "sweep_scale",
 ]
@@ -220,23 +217,3 @@ def run_aqm_experiment(
             ),
         )
     return AqmBiasComparison(figures=figures)
-
-
-def rtt_spec(quick: bool = False, label: str | None = None) -> ScenarioSpec:
-    """Runner spec for the topo_rtt figure (deterministic, seed-free).
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_rtt_experiment`'s scalar cells.
-    """
-    return figure_cells_spec("topo_rtt", quick=quick, label=label)
-
-
-def aqm_spec(quick: bool = False, label: str | None = None) -> ScenarioSpec:
-    """Runner spec for the topo_aqm figure (deterministic, seed-free).
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_aqm_experiment`'s scalar cells.
-    """
-    return figure_cells_spec("topo_aqm", quick=quick, label=label)

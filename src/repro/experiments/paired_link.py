@@ -18,8 +18,6 @@ confidence-interval comparison (Figure 13).
 
 from __future__ import annotations
 
-from repro.experiments.lab_common import figure_cells_spec
-
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -34,7 +32,7 @@ from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import ScenarioSpec
 from repro.workload.netflix import WorkloadConfig
 
-__all__ = ["PairedLinkExperiment", "PairedLinkOutcome", "CellMeans", "paired_figure_spec"]
+__all__ = ["PairedLinkExperiment", "PairedLinkOutcome", "CellMeans"]
 
 #: Estimand labels reported in Figure 5, in display order.
 FIGURE5_ESTIMANDS: tuple[str, ...] = ("ab_0.05", "ab_0.95", "tte", "spillover")
@@ -343,25 +341,3 @@ class PairedLinkExperiment:
             baselines=baselines,
             estimates=estimates,
         )
-
-
-def paired_figure_spec(
-    figure: str,
-    quick: bool = False,
-    seed: int | None = 0,
-    label: str | None = None,
-) -> ScenarioSpec:
-    """Runner spec for one paired-link figure replication (fig5/7/8/9/10).
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution re-runs the
-    :class:`PairedLinkExperiment` workload at one seed and reduces it to
-    the named figure's scalar cells.
-    """
-    from repro.experiments.lab_common import PAIRED_CELL_FIGURES
-
-    if figure not in PAIRED_CELL_FIGURES:
-        raise KeyError(
-            f"unknown paired-link figure {figure!r}; choose one of {PAIRED_CELL_FIGURES}"
-        )
-    return figure_cells_spec(figure, quick=quick, seed=seed, label=label)

@@ -18,8 +18,9 @@ Both schedulers deliver the *exact same event order* for the same calls
 ``tests/netsim/test_scheduler_property.py`` pin this, which is what lets
 the network builder switch between them without perturbing a single
 simulation result.  :func:`make_scheduler` is the factory the builder
-uses; ``"auto"`` picks the calendar queue when the expected event
-spacing fits its geometry (see :meth:`CalendarScheduler.suits`).
+uses; the heap is the default, and the calendar queue runs only when a
+caller asks for ``"calendar"`` (it is slower than the heap on the
+simulations this package runs; see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -209,21 +210,6 @@ class CalendarScheduler:
         #: Same contract as :attr:`EventScheduler.events_scheduled`.
         self.events_scheduled = 0
 
-    @classmethod
-    def suits(cls, horizon_s: float, bucket_s: float) -> bool:
-        """Whether the calendar geometry fits an event horizon.
-
-        True when ``horizon_s`` (the span most pending events live in —
-        one RTT plus worst-case queueing at steady state) fits inside one
-        ring revolution of ``bucket_s``-wide buckets, so the pop path
-        almost never needs a year check.  The network builder's
-        ``scheduler="auto"`` policy calls this with its base RTT and the
-        bottleneck's MSS serialization time.
-        """
-        if bucket_s <= 0 or horizon_s <= 0:
-            return False
-        return horizon_s / bucket_s <= cls.DEFAULT_BUCKETS
-
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
@@ -353,34 +339,18 @@ SCHEDULERS: dict[str, type] = {
 def make_scheduler(
     kind: str = "heap",
     *,
-    horizon_s: float | None = None,
     bucket_s: float | None = None,
     buckets: int = CalendarScheduler.DEFAULT_BUCKETS,
 ) -> EventScheduler | CalendarScheduler:
-    """Construct a scheduler by name: ``"heap"``, ``"calendar"`` or ``"auto"``.
+    """Construct a scheduler by name: ``"heap"`` or ``"calendar"``.
 
-    ``"auto"`` selects the calendar queue when both geometry hints are
-    given and :meth:`CalendarScheduler.suits` accepts them — i.e. when
-    the event horizon (``horizon_s``, typically one base RTT) is short
-    relative to the expected event spacing (``bucket_s``, typically one
-    MSS serialization time), as it is at steady state — and falls back
-    to the heap otherwise.
+    The calendar queue needs its bucket width ``bucket_s`` (typically one
+    MSS serialization time at the bottleneck); the heap ignores it.
     """
-    if kind == "auto":
-        if (
-            bucket_s is not None
-            and horizon_s is not None
-            and CalendarScheduler.suits(horizon_s, bucket_s)
-        ):
-            kind = "calendar"
-        else:
-            kind = "heap"
     if kind == "heap":
         return EventScheduler()
     if kind == "calendar":
         if bucket_s is None:
             raise ValueError("the calendar scheduler needs a bucket_s width")
         return CalendarScheduler(bucket_s, buckets=buckets)
-    raise ValueError(
-        f"unknown scheduler {kind!r}; expected one of {sorted(SCHEDULERS)} or 'auto'"
-    )
+    raise ValueError(f"unknown scheduler {kind!r}; expected one of {sorted(SCHEDULERS)}")

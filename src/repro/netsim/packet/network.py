@@ -247,12 +247,10 @@ class Network:
         ``queue_params`` pins its own ``seed``.  Inert when no path has a
         loss segment and the discipline draws no randomness.
     scheduler:
-        Event-scheduler implementation: ``"auto"`` (default — the
-        calendar queue when the event horizon, one base RTT at MSS
-        serialization ticks, fits its geometry; the heap otherwise; see
-        :func:`repro.netsim.packet.engine.make_scheduler`), ``"heap"``
-        or ``"calendar"``.  Both schedulers deliver the identical event
-        order, so this knob never changes results, only speed.
+        Event-scheduler implementation: ``"heap"`` (default) or
+        ``"calendar"`` (see :func:`repro.netsim.packet.engine.make_scheduler`).
+        Both schedulers deliver the identical event order, so this knob
+        never changes results, only speed.
     event_batching:
         Default-off fast path: when True, senders coalesce up to
         ``batch_segments`` MSS segments into one macro-packet, so a
@@ -275,7 +273,7 @@ class Network:
         queue_discipline: str = "droptail",
         queue_params: dict[str, Any] | None = None,
         seed: int | None = None,
-        scheduler: str = "auto",
+        scheduler: str = "heap",
         event_batching: bool = False,
         batch_segments: int = 8,
     ):
@@ -289,12 +287,9 @@ class Network:
         self.base_rtt_ms = float(base_rtt_ms)
         self.mss_bytes = int(mss_bytes)
         # Calendar geometry: one bucket per MSS serialization time at the
-        # default bottleneck, a horizon of one base RTT (where nearly all
-        # pending events live at steady state).
+        # default bottleneck.
         self.scheduler = make_scheduler(
-            scheduler,
-            horizon_s=self.base_rtt_ms / 1000.0,
-            bucket_s=self.mss_bytes * 8.0 / (self.capacity_mbps * 1e6),
+            scheduler, bucket_s=self.mss_bytes * 8.0 / (self.capacity_mbps * 1e6)
         )
         self.event_batching = bool(event_batching)
         self._batch_segments = int(batch_segments) if self.event_batching else 1

@@ -242,7 +242,7 @@ def simulate(
     cross_traffic: Sequence[FlowConfig] | None = None,
     traffic_sources: Sequence[TrafficSource] | None = None,
     seed: int | None = None,
-    scheduler: str = "auto",
+    scheduler: str = "heap",
     event_batching: bool = False,
     batch_segments: int = 8,
     probe: ProbeConfig | None = None,
@@ -297,10 +297,9 @@ def simulate(
         source's arrival/size draws; inert for the default loss-free,
         churn-free drop-tail topology.
     scheduler:
-        Event-scheduler implementation: ``"auto"`` (default — picks the
-        calendar queue when the workload suits it, the heap otherwise),
-        ``"heap"`` or ``"calendar"``.  All deliver the identical event
-        order, so this knob changes speed, never results.
+        Event-scheduler implementation: ``"heap"`` (default) or
+        ``"calendar"``.  Both deliver the identical event order, so this
+        knob changes speed, never results.
     event_batching:
         Default-off fast path: coalesce up to ``batch_segments`` MSS
         segments into one macro-packet (one scheduler event per burst).

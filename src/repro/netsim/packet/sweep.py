@@ -127,7 +127,7 @@ def run_packet_sweep(
     rtt_ms: Sequence[float] | None = None,
     loss_rate: float = 0.0,
     seed: int | None = None,
-    scheduler: str = "auto",
+    scheduler: str = "heap",
     event_batching: bool = False,
     batch_segments: int = 8,
     probe: Any = None,
@@ -184,7 +184,7 @@ def run_packet_sweep(
         inert-knob rule, so replications of deterministic sweeps share
         one cache entry.
     scheduler:
-        Event-scheduler implementation (``"auto"`` (default)/``"heap"``/
+        Event-scheduler implementation (``"heap"`` (default) or
         ``"calendar"``).  Order-identical by contract, so results never
         depend on it; like every knob it enters the content key only
         when it deviates from the default.
@@ -230,7 +230,7 @@ def run_packet_sweep(
         extra_params["cross_traffic"] = tuple(cross_traffic)
     if traffic_sources:
         extra_params["traffic_sources"] = tuple(traffic_sources)
-    if scheduler != "auto":
+    if scheduler != "heap":
         extra_params["scheduler"] = scheduler
     if event_batching:
         # Batching approximates the unbatched traces, so batched and

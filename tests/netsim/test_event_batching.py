@@ -165,10 +165,9 @@ class TestKnobInertness:
     def test_scheduler_choice_stays_out_of_the_cache_key(self):
         # The scheduler is order-identical, so a non-default choice keys
         # the spec (it names the requested engine) but the default
-        # ("auto") must produce the exact pre-existing key — flipping
-        # the default from "heap" to "auto" must not split the cache.
+        # ("heap") must produce the exact pre-existing key.
         specs = {}
-        for scheduler in ("auto", "heap", "calendar"):
+        for scheduler in ("heap", "calendar"):
             recorder = _SpecRecorder()
             run_packet_sweep(
                 2,
@@ -179,8 +178,7 @@ class TestKnobInertness:
                 executor=recorder,
             )
             specs[scheduler] = recorder.specs[0]
-        assert "scheduler" not in specs["auto"].params
-        assert specs["heap"].params["scheduler"] == "heap"
+        assert "scheduler" not in specs["heap"].params
         assert specs["calendar"].params["scheduler"] == "calendar"
 
 

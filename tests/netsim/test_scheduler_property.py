@@ -178,17 +178,10 @@ class TestFullSimulationParity:
             FlowConfig(2, cc="bbr"),
         ]
         kwargs = dict(capacity_mbps=30.0, duration_s=5.0, warmup_s=2.0)
-        runs = {
-            kind: simulate(flows, scheduler=kind, **kwargs)
-            for kind in ("heap", "calendar", "auto")
-        }
+        runs = {kind: simulate(flows, scheduler=kind, **kwargs) for kind in ("heap", "calendar")}
         assert runs["heap"].engine.scheduler == "heap"
         assert runs["calendar"].engine.scheduler == "calendar"
-        assert (
-            normalized(runs["heap"])
-            == normalized(runs["calendar"])
-            == normalized(runs["auto"])
-        )
+        assert normalized(runs["heap"]) == normalized(runs["calendar"])
 
     def test_fuzzed_sims_identical_across_schedulers(self):
         # Seeded random lab configs, exercising AQMs, ECN, random loss
@@ -266,11 +259,6 @@ class TestCalendarScheduler:
         assert sched.step()
         assert sched.events_processed == 3
 
-    def test_suits_accepts_short_horizons_only(self):
-        assert CalendarScheduler.suits(horizon_s=0.02, bucket_s=6e-5)
-        assert not CalendarScheduler.suits(horizon_s=100.0, bucket_s=6e-5)
-        assert not CalendarScheduler.suits(horizon_s=0.02, bucket_s=0.0)
-
 
 class TestMakeScheduler:
     def test_registry_and_kinds(self):
@@ -278,13 +266,11 @@ class TestMakeScheduler:
         assert isinstance(make_scheduler("heap"), EventScheduler)
         assert isinstance(make_scheduler("calendar", bucket_s=0.1), CalendarScheduler)
 
-    def test_auto_picks_calendar_when_geometry_fits(self):
-        sched = make_scheduler("auto", horizon_s=0.02, bucket_s=6e-5)
-        assert sched.kind == "calendar"
-
-    def test_auto_falls_back_to_heap(self):
-        assert make_scheduler("auto", horizon_s=100.0, bucket_s=6e-5).kind == "heap"
-        assert make_scheduler("auto").kind == "heap"  # no geometry hints
+    def test_heap_is_the_default(self):
+        assert make_scheduler().kind == "heap"
+        assert make_scheduler(bucket_s=6e-5).kind == "heap"
+        flows = [FlowConfig(0, cc="reno")]
+        assert simulate(flows, duration_s=1.0, warmup_s=0.5).engine.scheduler == "heap"
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from repro.runner.spec import ScenarioSpec, content_key
 PROBE = ProbeConfig(interval_s=0.5)
 
 
-def _run(scheduler="auto", probe=None):
+def _run(scheduler="heap", probe=None):
     return simulate(
         [FlowConfig(0, cc="reno", connections=2), FlowConfig(1, cc="cubic")],
         capacity_mbps=20.0,

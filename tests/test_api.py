@@ -27,9 +27,9 @@ class TestSurface:
 
 class TestHelpers:
     def test_list_figures_matches_the_task_registry(self):
-        from repro.runner.tasks import FIGURE_CELL_TASKS
+        from repro.figures import FIGURES
 
-        assert api.list_figures() == tuple(FIGURE_CELL_TASKS)
+        assert api.list_figures() == tuple(FIGURES)
         assert "fig2a" in api.list_figures()
         assert "fleet" in api.list_figures()
 
@@ -42,6 +42,43 @@ class TestHelpers:
     def test_figure_spec_unknown_figure(self):
         with pytest.raises(KeyError, match="unknown figure 'figZ'"):
             api.figure_spec("figZ")
+
+    @pytest.mark.parametrize(
+        "figure,knobs,message",
+        [
+            (
+                "topo_rtt",
+                {"seed": 3},
+                "knob(s) ['seed'] do not apply to figure 'topo_rtt' (allowed: ['quick'])",
+            ),
+            (
+                "fig2a",
+                {"quick": True},
+                "knob(s) ['quick'] do not apply to figure 'fig2a' (allowed: ['noise', 'seed'])",
+            ),
+            (
+                "fig5",
+                {"noise": 0.1},
+                "knob(s) ['noise'] do not apply to figure 'fig5' (allowed: ['quick', 'seed'])",
+            ),
+            (
+                "fleet",
+                {"label": "x"},
+                "knob(s) ['label'] do not apply to figure 'fleet' (allowed: ['quick', 'seed'])",
+            ),
+        ],
+    )
+    def test_figure_spec_rejects_inapplicable_knobs(self, figure, knobs, message):
+        with pytest.raises(ValueError) as exc_info:
+            api.figure_spec(figure, **knobs)
+        assert str(exc_info.value) == message
+
+    def test_figure_spec_wording_matches_the_stage_check(self):
+        with pytest.raises(ValueError) as from_api:
+            api.figure_spec("topo_rtt", noise=0.1)
+        with pytest.raises(ValueError) as from_stage:
+            api.StageSpec(name="s", figure="topo_rtt", knobs={"noise": 0.1})
+        assert str(from_stage.value) == f"stage 's': {from_api.value}"
 
 
 class TestEndToEnd:
