@@ -55,86 +55,85 @@ class EventScheduler:
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._counter = itertools.count()
-        self._now = 0.0
-        self._pending: set[int] = set()
+        #: Ids of cancelled events still in the heap (dropped when popped).
         self._cancelled: set[int] = set()
+        #: Current simulation time in seconds.  A plain attribute, read on
+        #: every send and service event; only the scheduler advances it.
+        self.now = 0.0
         #: Lifetime count of callbacks executed (the events/sec numerator
         #: of the performance model; see ``docs/performance.md``).
+        #: :meth:`run` adds its events when it returns (or raises).
         self.events_processed = 0
         #: Lifetime count of events ever inserted (processed + cancelled
         #: + still pending); part of the uniform counter schema both
         #: scheduler kinds report (:class:`repro.obs.metrics.EngineCounters`).
+        #: Also the id of the next scheduled event.
         self.events_scheduled = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     def schedule(self, time: float, callback: Callable[[], None]) -> int:
         """Schedule ``callback`` to run at absolute ``time``.
 
         Returns an event id usable with :meth:`cancel`.  Scheduling in the
-        past raises ``ValueError``.
+        past, or at a NaN time, raises ``ValueError``.
         """
-        if time < self._now:
+        if not time >= self.now:
             raise ValueError(
-                f"cannot schedule an event at {time} before current time {self._now}"
+                f"cannot schedule an event at {time} before current time {self.now}"
             )
-        event_id = next(self._counter)
+        event_id = self.events_scheduled
+        self.events_scheduled = event_id + 1
         heapq.heappush(self._heap, (float(time), event_id, callback))
-        self._pending.add(event_id)
-        self.events_scheduled += 1
         return event_id
 
     def schedule_in(self, delay: float, callback: Callable[[], None]) -> int:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        return self.schedule(self._now + delay, callback)
+        return self.schedule(self.now + delay, callback)
 
     def cancel(self, event_id: int) -> None:
         """Cancel a previously scheduled event.
 
         Cancelling an id that is not pending (unknown, already run, or
-        already cancelled) is a no-op.  Cancelled entries are dropped
-        lazily at pop time; once they outnumber the live events the heap
-        is compacted, so neither the heap nor the cancelled-id set grows
-        without bound.
+        already cancelled) is a no-op; pending means still in the heap,
+        which this checks with a linear scan (nothing in the simulator
+        cancels, so the hot path keeps no pending-id index).  Cancelled
+        entries are dropped lazily at pop time; once they outnumber the
+        live events the heap is compacted, so neither the heap nor the
+        cancelled-id set grows without bound.
         """
-        if event_id not in self._pending:
+        cancelled = self._cancelled
+        if event_id in cancelled or all(e[1] != event_id for e in self._heap):
             return
-        self._pending.discard(event_id)
-        self._cancelled.add(event_id)
-        if (
-            len(self._cancelled) > self._COMPACT_THRESHOLD
-            and len(self._cancelled) > len(self._pending)
-        ):
-            self._heap = [e for e in self._heap if e[1] not in self._cancelled]
+        cancelled.add(event_id)
+        if len(cancelled) > self._COMPACT_THRESHOLD and 2 * len(cancelled) > len(self._heap):
+            self._heap = [e for e in self._heap if e[1] not in cancelled]
             heapq.heapify(self._heap)
-            self._cancelled.clear()
+            cancelled.clear()
 
     def __len__(self) -> int:
         """Number of live (non-cancelled) pending events."""
-        return len(self._pending)
+        return len(self._heap) - len(self._cancelled)
 
     def run(self, until: float) -> None:
         """Run events in time order until the clock reaches ``until``."""
         heap = self._heap
-        pending_discard = self._pending.discard
         cancelled = self._cancelled
         pop = heapq.heappop
-        while heap and heap[0][0] <= until:
-            time, event_id, callback = pop(heap)
-            if event_id in cancelled:
-                cancelled.discard(event_id)
-                continue
-            pending_discard(event_id)
-            self._now = time
-            self.events_processed += 1
-            callback()
-        self._now = max(self._now, until)
+        processed = 0
+        try:
+            while heap and heap[0][0] <= until:
+                time, event_id, callback = pop(heap)
+                if event_id in cancelled:
+                    cancelled.discard(event_id)
+                    continue
+                self.now = time
+                processed += 1
+                callback()
+        finally:
+            self.events_processed += processed
+        if until > self.now:
+            self.now = until
 
     def step(self) -> bool:
         """Run a single event.  Returns False when no events remain."""
@@ -143,8 +142,7 @@ class EventScheduler:
             if event_id in self._cancelled:
                 self._cancelled.discard(event_id)
                 continue
-            self._pending.discard(event_id)
-            self._now = time
+            self.now = time
             self.events_processed += 1
             callback()
             return True
@@ -202,7 +200,8 @@ class CalendarScheduler:
             [] for _ in range(self._n)
         ]
         self._counter = itertools.count()
-        self._now = 0.0
+        #: Current simulation time in seconds (see :attr:`EventScheduler.now`).
+        self.now = 0.0
         self._day = 0  # ring cursor: no live event lies before this day
         self._pending: set[int] = set()
         self._cancelled: set[int] = set()
@@ -210,16 +209,11 @@ class CalendarScheduler:
         #: Same contract as :attr:`EventScheduler.events_scheduled`.
         self.events_scheduled = 0
 
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     def schedule(self, time: float, callback: Callable[[], None]) -> int:
         """Schedule ``callback`` at absolute ``time``; returns an event id."""
-        if time < self._now:
+        if not time >= self.now:
             raise ValueError(
-                f"cannot schedule an event at {time} before current time {self._now}"
+                f"cannot schedule an event at {time} before current time {self.now}"
             )
         event_id = next(self._counter)
         time = float(time)
@@ -237,7 +231,7 @@ class CalendarScheduler:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        return self.schedule(self._now + delay, callback)
+        return self.schedule(self.now + delay, callback)
 
     def cancel(self, event_id: int) -> None:
         """Cancel a previously scheduled event (lazy, like the heap's)."""
@@ -311,19 +305,20 @@ class CalendarScheduler:
                 # between and must still be reachable in order.
                 insort(self._buckets[int(time / self._bucket_s) % self._n], entry)
                 self._pending.add(event_id)
-                self._day = int(self._now / self._bucket_s)
+                self._day = int(self.now / self._bucket_s)
                 break
-            self._now = time
+            self.now = time
             self.events_processed += 1
             callback()
-        self._now = max(self._now, until)
+        if until > self.now:
+            self.now = until
 
     def step(self) -> bool:
         """Run a single event.  Returns False when no events remain."""
         entry = self._pop_next()
         if entry is None:
             return False
-        self._now = entry[0]
+        self.now = entry[0]
         self.events_processed += 1
         entry[2]()
         return True

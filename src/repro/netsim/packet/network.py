@@ -535,23 +535,33 @@ class Network:
         self._queues[self._routes[cid][0]].enqueue(packet)
 
     def _departure_handler(self, queue_name: str):
+        # Bound once per queue: the handler runs on every departure.
+        routes = self._routes
+        queues = self._queues
+        senders = self._senders
+        rtt_s = self._rtt_s
+        schedule = self.scheduler.schedule
+        release = self._pool.release
+
         def on_departure(packet: Packet, departure_time: float) -> None:
-            route = self._routes[packet.flow_id]
-            hop = route.index(queue_name)
-            if hop + 1 < len(route):
-                self._queues[route[hop + 1]].enqueue(packet)
-                return
-            sender = self._senders[packet.flow_id]
-            ack_time = departure_time + self._rtt_s[packet.flow_id]
+            cid = packet.flow_id
+            route = routes[cid]
+            if len(route) > 1:
+                hop = route.index(queue_name)
+                if hop + 1 < len(route):
+                    queues[route[hop + 1]].enqueue(packet)
+                    return
+            sender = senders[cid]
+            ack_time = departure_time + rtt_s[cid]
 
             def deliver_ack(sender=sender, packet=packet, ack_time=ack_time) -> None:
                 rtt_sample = ack_time - packet.send_time
                 sender.handle_ack(packet, rtt_sample)
                 # The ack was this packet's one terminal event (each packet
                 # ends in exactly one of ack / loss): recycle the slot.
-                self._pool.release(packet)
+                release(packet)
 
-            self.scheduler.schedule(ack_time, deliver_ack)
+            schedule(ack_time, deliver_ack)
 
         return on_departure
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 __all__ = ["Packet", "PacketPool"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A data packet in flight.
 
@@ -89,9 +89,10 @@ class PacketPool:
     ) -> Packet:
         """Return a packet with the given fields, reusing a retired slot."""
         self.acquired += 1
-        if self._free:
+        free = self._free
+        if free:
             self.reused += 1
-            packet = self._free.pop()
+            packet = free.pop()
             packet.flow_id = flow_id
             packet.sequence = sequence
             packet.size_bytes = size_bytes
@@ -103,14 +104,15 @@ class PacketPool:
             packet.segments = segments
             return packet
         return Packet(
-            flow_id=flow_id,
-            sequence=sequence,
-            size_bytes=size_bytes,
-            send_time=send_time,
-            is_retransmission=is_retransmission,
-            ecn_capable=ecn_capable,
-            l4s=l4s,
-            segments=segments,
+            flow_id,
+            sequence,
+            size_bytes,
+            send_time,
+            is_retransmission,
+            ecn_capable,
+            l4s,
+            False,  # ce_marked
+            segments,
         )
 
     def release(self, packet: Packet) -> None:

@@ -45,6 +45,7 @@ import math
 import random
 from collections import deque
 from collections.abc import Callable
+from functools import partial
 
 from repro.netsim.packet.engine import EventScheduler
 from repro.netsim.packet.packets import Packet
@@ -224,7 +225,8 @@ class QueueDiscipline:
                 self._drop(packet, now)
                 return False
             self._enqueue_packet(packet, now)
-            self.max_occupancy_bytes = max(self.max_occupancy_bytes, self._queued_bytes)
+            if self._queued_bytes > self.max_occupancy_bytes:
+                self.max_occupancy_bytes = self._queued_bytes
         else:
             self._start_service(packet)
         return True
@@ -252,19 +254,22 @@ class QueueDiscipline:
     def _start_service(self, packet: Packet) -> None:
         self._busy = True
         self.packets_served += 1
-        self.bytes_served += packet.size_bytes
-        finish = self._scheduler.now + self.transmission_time(packet)
+        size = packet.size_bytes
+        self.bytes_served += size
+        # Inline transmission_time(packet): one call less per packet.
+        finish = self._scheduler.now + size * 8.0 / self._rate_bps
         self._service_finish_time = finish
-        self._scheduler.schedule(finish, lambda p=packet: self._finish_service(p))
+        self._scheduler.schedule(finish, partial(self._finish_service, packet))
 
     def _finish_service(self, packet: Packet) -> None:
-        self._on_departure(packet, self._scheduler.now)
+        now = self._scheduler.now
+        self._on_departure(packet, now)
         next_packet = self._next_packet()
         if next_packet is not None:
             self._start_service(next_packet)
         else:
             self._busy = False
-            self._became_idle(self._scheduler.now)
+            self._became_idle(now)
 
 
 class DropTailQueue(QueueDiscipline):

@@ -390,7 +390,8 @@ class TcpSender:
 
     def window_limit(self) -> int:
         """Maximum number of packets allowed in flight right now."""
-        return max(int(self.cwnd), 1)
+        limit = int(self.cwnd)
+        return limit if limit > 1 else 1
 
     # -- feedback from the network ----------------------------------------------
 
@@ -407,9 +408,11 @@ class TcpSender:
         segments = packet.segments
         self.packets_acked += segments
         self.bytes_acked += packet.size_bytes
-        self.inflight = max(self.inflight - segments, 0)
+        inflight = self.inflight - segments
+        self.inflight = inflight if inflight > 0 else 0
         if rtt_sample > 0:
-            self.min_rtt = min(self.min_rtt, rtt_sample)
+            if rtt_sample < self.min_rtt:
+                self.min_rtt = rtt_sample
             # Standard EWMA with alpha = 1/8.
             self.srtt = 0.875 * self.srtt + 0.125 * rtt_sample
         if packet.ce_marked:
@@ -468,7 +471,8 @@ class TcpSender:
             return  # stale feedback for an already-finished transfer
         segments = packet.segments
         self.packets_lost += segments
-        self.inflight = max(self.inflight - segments, 0)
+        inflight = self.inflight - segments
+        self.inflight = inflight if inflight > 0 else 0
         self._pending_retransmissions += segments
         self.on_loss(packet)
         self._try_send()
@@ -507,47 +511,46 @@ class TcpSender:
             segments = min(segments, self._transfer_packets - self._new_packets_sent)
         return max(segments, 1)
 
-    def _build_packet(self) -> Packet:
-        segments = self._batch_size()
-        if self._pending_retransmissions > 0:
+    def _send_one(self) -> Packet:
+        """Build the next packet (retransmission first), account for it
+        and hand it to the network."""
+        segments = self._batch_size() if self.batch_segments > 1 else 1
+        retransmission = self._pending_retransmissions > 0
+        if retransmission:
             self._pending_retransmissions -= segments
-            retransmission = True
         else:
-            retransmission = False
             self._new_packets_sent += segments
+        size = self.mss_bytes * segments
         if self._pool is not None:
             packet = self._pool.acquire(
-                flow_id=self.flow_id,
-                sequence=self.next_sequence,
-                size_bytes=self.mss_bytes * segments,
-                send_time=self.scheduler.now,
-                is_retransmission=retransmission,
-                ecn_capable=self.ecn,
-                l4s=self.ecn_mode == "l4s",
-                segments=segments,
+                self.flow_id,
+                self.next_sequence,
+                size,
+                self.scheduler.now,
+                retransmission,
+                self.ecn,
+                self.ecn_mode == "l4s",
+                segments,
             )
         else:
             packet = Packet(
-                flow_id=self.flow_id,
-                sequence=self.next_sequence,
-                size_bytes=self.mss_bytes * segments,
-                send_time=self.scheduler.now,
-                is_retransmission=retransmission,
-                ecn_capable=self.ecn,
-                l4s=self.ecn_mode == "l4s",
-                segments=segments,
+                self.flow_id,
+                self.next_sequence,
+                size,
+                self.scheduler.now,
+                retransmission,
+                self.ecn,
+                self.ecn_mode == "l4s",
+                False,  # ce_marked
+                segments,
             )
         self.next_sequence += 1
-        return packet
-
-    def _send_one(self) -> Packet:
-        packet = self._build_packet()
-        self.packets_sent += packet.segments
-        self.bytes_sent += packet.size_bytes
-        if packet.is_retransmission:
-            self.packets_retransmitted += packet.segments
-            self.bytes_retransmitted += packet.size_bytes
-        self.inflight += packet.segments
+        self.packets_sent += segments
+        self.bytes_sent += size
+        if retransmission:
+            self.packets_retransmitted += segments
+            self.bytes_retransmitted += size
+        self.inflight += segments
         self.transmit(packet)
         return packet
 
@@ -574,22 +577,29 @@ class TcpSender:
             return
         if self.paced:
             self._try_send_paced()
-        else:
-            while self._can_send():
-                self._send_one()
+            return
+        # Nothing a send does feeds back into the window synchronously
+        # (acks and losses are later events), so the limit is read once
+        # per burst and the loop re-checks only what each send changes.
+        limit = self.window_limit()
+        budget = self._transfer_packets
+        while self.inflight < limit and (
+            self._pending_retransmissions > 0
+            or budget is None
+            or self._new_packets_sent < budget
+        ):
+            self._send_one()
 
     def _try_send_paced(self) -> None:
         if self._pacing_timer_armed:
             return
         if not self._can_send():
             return
-        now = self.scheduler.now
-        send_at = max(now, self._next_pacing_time)
-        if send_at <= now:
-            self._send_paced_packet()
-        else:
+        if self._next_pacing_time > self.scheduler.now:
             self._pacing_timer_armed = True
-            self.scheduler.schedule(send_at, self._pacing_timer_fired)
+            self.scheduler.schedule(self._next_pacing_time, self._pacing_timer_fired)
+        else:
+            self._send_paced_packet()
 
     def _pacing_timer_fired(self) -> None:
         self._pacing_timer_armed = False
@@ -598,7 +608,9 @@ class TcpSender:
 
     def _send_paced_packet(self) -> None:
         packet = self._send_one()
-        rate = max(self.current_pacing_rate_bps(), 1.0)
+        rate = self.current_pacing_rate_bps()
+        if 1.0 > rate:
+            rate = 1.0
         # A macro-packet earns a proportionally longer pacing interval,
         # so the paced *byte* rate is unchanged by batching (for a
         # single-segment packet this is exactly the old mss/rate gap).

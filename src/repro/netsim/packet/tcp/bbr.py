@@ -23,6 +23,7 @@ the sharing behaviour under study.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from repro.netsim.packet.packets import Packet
@@ -48,8 +49,10 @@ class BBRSender(TcpSender):
         self._phase = "startup"
         self._pacing_gain = self.STARTUP_GAIN
         self._cwnd_gain = self.STARTUP_GAIN
-        self._bw_samples: deque[float] = deque(maxlen=self.BW_FILTER_LEN)
-        self._bw_samples.append(self.mss_bytes * 8.0 / self.base_rtt_s * self.cwnd)
+        initial_bw = self.mss_bytes * 8.0 / self.base_rtt_s * self.cwnd
+        self._bw_samples: deque[float] = deque([initial_bw], maxlen=self.BW_FILTER_LEN)
+        #: ``max(self._bw_samples)``, kept up to date by :meth:`_add_bw_sample`.
+        self._max_bw = initial_bw
         self._full_bw = 0.0
         self._full_bw_rounds = 0
         self._cycle_index = 0
@@ -63,23 +66,38 @@ class BBRSender(TcpSender):
     @property
     def bottleneck_bw_bps(self) -> float:
         """Current windowed-max bottleneck bandwidth estimate, bits/s."""
-        return max(self._bw_samples) if self._bw_samples else 0.0
+        return self._max_bw
 
     @property
     def estimated_bdp_packets(self) -> float:
         """Estimated bandwidth-delay product in packets."""
-        rtt = self.min_rtt if self.min_rtt != float("inf") else self.base_rtt_s
-        return self.bottleneck_bw_bps * rtt / (self.mss_bytes * 8.0)
+        rtt = self.min_rtt if self.min_rtt != math.inf else self.base_rtt_s
+        return self._max_bw * rtt / (self.mss_bytes * 8.0)
+
+    def _add_bw_sample(self, rate: float) -> None:
+        """Append a delivery-rate sample and keep the windowed max current.
+
+        Only evicting the maximum forces a rescan of the (short) window.
+        """
+        samples = self._bw_samples
+        evicted = samples[0] if len(samples) == samples.maxlen else None
+        samples.append(rate)
+        if rate >= self._max_bw:
+            self._max_bw = rate
+        elif evicted == self._max_bw:
+            self._max_bw = max(samples)
 
     # -- TcpSender overrides ------------------------------------------------------
 
     def current_pacing_rate_bps(self) -> float:
         """Pacing rate: the phase gain times the bottleneck estimate."""
-        return max(self._pacing_gain * self.bottleneck_bw_bps, 1e3)
+        rate = self._pacing_gain * self._max_bw
+        return 1e3 if 1e3 > rate else rate
 
     def window_limit(self) -> int:
         """Inflight cap: the cwnd gain times the estimated BDP."""
-        return max(int(self._cwnd_gain * self.estimated_bdp_packets), 4)
+        limit = int(self._cwnd_gain * self.estimated_bdp_packets)
+        return limit if limit > 4 else 4
 
     def _send_one(self) -> Packet:  # record delivery state at send time
         self._delivered_at_send[self.next_sequence] = (
@@ -97,7 +115,7 @@ class BBRSender(TcpSender):
             elapsed = self.scheduler.now - sent_time
             if elapsed > 0:
                 rate = (self._delivered_bytes_total - delivered_then) * 8.0 / elapsed
-                self._bw_samples.append(rate)
+                self._add_bw_sample(rate)
         self._update_phase()
 
     def on_ack_batch(self, packet: Packet, rtt_sample: float, segments: int) -> None:
@@ -131,7 +149,7 @@ class BBRSender(TcpSender):
 
     def _update_phase(self) -> None:
         now = self.scheduler.now
-        rtt = self.min_rtt if self.min_rtt != float("inf") else self.base_rtt_s
+        rtt = self.min_rtt if self.min_rtt != math.inf else self.base_rtt_s
 
         if now - self._round_start_time >= rtt:
             self._round_start_time = now

@@ -39,6 +39,28 @@ class TestEventScheduler:
         with pytest.raises(ValueError):
             sched.schedule(1.5, lambda: None)
 
+    def test_schedule_at_nan_raises(self):
+        # NaN compares False with everything: admitted, it would sit in
+        # the heap and silently break its ordering.
+        sched = EventScheduler()
+        with pytest.raises(ValueError):
+            sched.schedule(float("nan"), lambda: None)
+        assert len(sched) == 0
+        assert sched.events_scheduled == 0
+
+    def test_events_processed_counts_a_raising_callback(self):
+        sched = EventScheduler()
+
+        def fail():
+            raise RuntimeError("boom")
+
+        sched.schedule(1.0, lambda: None)
+        sched.schedule(2.0, fail)
+        with pytest.raises(RuntimeError):
+            sched.run(until=3.0)
+        assert sched.events_processed == 2
+        assert sched.now == 2.0
+
     def test_schedule_in_relative(self):
         sched = EventScheduler()
         fired = []

@@ -239,6 +239,13 @@ class TestCalendarScheduler:
         with pytest.raises(ValueError):
             sched.schedule(1.5, lambda: None)
 
+    def test_schedule_at_nan_raises(self):
+        sched = CalendarScheduler(bucket_s=0.5)
+        with pytest.raises(ValueError):
+            sched.schedule(float("nan"), lambda: None)
+        assert len(sched) == 0
+        assert sched.events_scheduled == 0
+
     def test_cancelled_events_do_not_accumulate(self):
         sched = CalendarScheduler(bucket_s=0.5, buckets=16)
         for _ in range(1000):
