@@ -65,57 +65,6 @@ def load_throughput(path: Path) -> dict[str, dict[str, float]]:
     }
 
 
-def load_memory(path: Path) -> dict[str, float]:
-    """Read an export's memory section: ``{nodeid: peak bytes}``.
-
-    Empty for schema-1/2 exports (written before peak-memory recording
-    existed), so old baselines keep working.
-    """
-    payload = json.loads(Path(path).read_text())
-    section = payload.get("memory", {}) if isinstance(payload, dict) else {}
-    return {str(k): float(v) for k, v in section.items()}
-
-
-def memory_delta(
-    current: dict[str, float], baseline: dict[str, float]
-) -> list[dict]:
-    """One row per nodeid in either side's memory section.
-
-    ``ratio`` is current/baseline — above 1 means the benchmark's peak
-    traced allocation grew.  Informational only, like throughput: memory
-    shifts are worth seeing in the job summary, not worth a second gate.
-    """
-    rows = []
-    for nodeid in sorted(set(current) | set(baseline)):
-        cur = current.get(nodeid)
-        base = baseline.get(nodeid)
-        ratio = None
-        if cur is not None and base is not None and base > 0.0:
-            ratio = cur / base
-        rows.append(
-            {"nodeid": nodeid, "current": cur, "baseline": base, "ratio": ratio}
-        )
-    return rows
-
-
-def _format_bytes(value: float | None) -> str:
-    if value is None:
-        return "-"
-    return f"{value / 1e6:,.1f}MB"
-
-
-def format_memory_rows(rows: list[dict]) -> str:
-    """Human-readable peak-memory delta table (lower is better)."""
-    lines = [f"{'current':>10}  {'baseline':>10}  {'ratio':>7}  benchmark"]
-    for row in rows:
-        ratio = "-" if row["ratio"] is None else f"{row['ratio']:.2f}x"
-        lines.append(
-            f"{_format_bytes(row['current']):>10}  "
-            f"{_format_bytes(row['baseline']):>10}  {ratio:>7}  {row['nodeid']}"
-        )
-    return "\n".join(lines)
-
-
 def throughput_delta(
     current: dict[str, dict[str, float]],
     baseline: dict[str, dict[str, float]],
@@ -162,11 +111,7 @@ def format_throughput_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def write_github_summary(
-    rows: list[dict],
-    throughput_rows: list[dict],
-    memory_rows: list[dict] | None = None,
-) -> None:
+def write_github_summary(rows: list[dict], throughput_rows: list[dict]) -> None:
     """Append markdown tables to ``$GITHUB_STEP_SUMMARY`` when it is set."""
     out = os.environ.get("GITHUB_STEP_SUMMARY")
     if not out:
@@ -201,20 +146,6 @@ def write_github_summary(
             metric = row["metric"].removesuffix("_per_s")
             lines.append(
                 f"| {cur} | {base} | {speedup} | `{row['nodeid']}` [{metric}] |"
-            )
-    if memory_rows:
-        lines += [
-            "",
-            "## Peak memory vs baseline (lower is better)",
-            "",
-            "| current | baseline | ratio | benchmark |",
-            "|---|---|---|---|",
-        ]
-        for row in memory_rows:
-            ratio = "-" if row["ratio"] is None else f"{row['ratio']:.2f}x"
-            lines.append(
-                f"| {_format_bytes(row['current'])} | "
-                f"{_format_bytes(row['baseline'])} | {ratio} | `{row['nodeid']}` |"
             )
     with open(out, "a", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -316,11 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     if throughput_rows:
         print("\nengine throughput vs baseline (higher is better):")
         print(format_throughput_rows(throughput_rows))
-    memory_rows = memory_delta(load_memory(args.current), load_memory(args.baseline))
-    if memory_rows:
-        print("\npeak memory vs baseline (lower is better):")
-        print(format_memory_rows(memory_rows))
-    write_github_summary(rows, throughput_rows, memory_rows)
+    write_github_summary(rows, throughput_rows)
     regressions = [row for row in rows if row["regressed"]]
     if regressions:
         print(

@@ -21,12 +21,9 @@ section, from which ``check_regression.py`` prints a speedup/slowdown
 delta table against the baseline (informational — wall-time is the
 gate).
 
-When the export is enabled, each benchmark's call phase also runs under
-``tracemalloc`` and its peak traced allocation lands in the export's
-``memory`` section (schema 3) — informational like throughput, never a
-gate.  Tracing is gated on ``BENCH_JSON`` so plain benchmark runs pay no
-tracemalloc overhead (and wall times in the export carry the overhead
-uniformly, so deltas against the baseline stay comparable).
+The export (schema 4) times every call untraced: no memory probe runs
+inside a timed call.  Peak memory is measured by the repository
+benchmark (``perfbench/run.py``'s untraced ``peak_rss_mb``).
 """
 
 import json
@@ -34,7 +31,6 @@ import os
 import platform
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -78,10 +74,6 @@ _TIMINGS: dict[str, float] = {}
 #: ``throughput`` fixture (packet-engine microbenchmarks only).
 _THROUGHPUT: dict[str, dict[str, float]] = {}
 
-#: Peak traced allocation (bytes) per test nodeid; only populated when
-#: ``BENCH_JSON`` enables the export (tracemalloc is not free).
-_MEMORY: dict[str, float] = {}
-
 
 class ThroughputRecorder:
     """Records one benchmark's absolute engine throughput for the export."""
@@ -124,35 +116,18 @@ def pytest_runtest_logreport(report):
         _TIMINGS[report.nodeid] = report.duration
 
 
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    """Measure each test's peak memory when the JSON export is enabled."""
-    if not os.environ.get("BENCH_JSON") or tracemalloc.is_tracing():
-        # Not exporting, or something outer already traces (nested
-        # tracemalloc starts would reset its peak counter).
-        yield
-        return
-    tracemalloc.start()
-    try:
-        yield
-        _MEMORY[item.nodeid] = float(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-
-
 def pytest_sessionfinish(session):
     """Export the collected timings when ``BENCH_JSON`` names a file."""
     out = os.environ.get("BENCH_JSON")
     if not out or not _TIMINGS:
         return
     payload = {
-        "schema": 3,
+        "schema": 4,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "timings": dict(sorted(_TIMINGS.items())),
         "throughput": dict(sorted(_THROUGHPUT.items())),
-        "memory": dict(sorted(_MEMORY.items())),
     }
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -126,38 +126,12 @@ class TestThroughputDelta:
         assert "Engine throughput vs baseline" in text
 
 
-class TestMemoryDelta:
-    def test_ratio_is_current_over_baseline(self):
-        (row,) = checker.memory_delta({"b": 2e6}, {"b": 1e6})
-        assert row["ratio"] == pytest.approx(2.0)
-
-    def test_one_sided_rows_have_no_ratio(self):
-        rows = checker.memory_delta({"new": 1e6}, {"old": 2e6})
-        assert all(row["ratio"] is None for row in rows)
-
-    def test_schema2_exports_have_empty_memory(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"schema": 2, "timings": {"t": 1.0}}))
-        assert checker.load_memory(path) == {}
-
-    def test_formatting_renders_megabytes(self):
-        out = checker.format_memory_rows(checker.memory_delta({"b": 2e6}, {"b": 1e6}))
-        assert "2.0MB" in out
-        assert "2.00x" in out
-
-    def test_github_summary_includes_memory_table(self, tmp_path, monkeypatch):
-        out = tmp_path / "summary.md"
-        monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(out))
-        timing_rows = checker.compare({"t": 1.0}, {"t": 0.9})
-        memory_rows = checker.memory_delta({"b": 2e6}, {"b": 1e6})
-        checker.write_github_summary(timing_rows, [], memory_rows)
-        assert "Peak memory vs baseline" in out.read_text()
-
-
 class TestCommittedBaseline:
     def test_baseline_exists_with_expected_schema(self):
         payload = json.loads(BASELINE.read_text())
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
+        # Schema 4 dropped the tracemalloc-traced memory section.
+        assert "memory" not in payload
         assert payload["timings"]
         for nodeid, seconds in payload["timings"].items():
             assert nodeid.startswith("benchmarks/")
@@ -180,14 +154,6 @@ class TestCommittedBaseline:
             if "test_engine_throughput.py" in nodeid:
                 assert set(metrics) >= {"packets_per_s", "events_per_s"}
         assert any("units_per_s" in metrics for metrics in throughput.values())
-
-    def test_baseline_records_peak_memory(self):
-        payload = json.loads(BASELINE.read_text())
-        memory = payload["memory"]
-        assert memory
-        # tracemalloc peaks are bytes; every benchmark allocates *something*.
-        assert all(peak > 0.0 for peak in memory.values())
-        assert set(memory) == set(payload["timings"])
 
     def test_baseline_loads_through_the_checker(self):
         timings = checker.load_timings(BASELINE)
