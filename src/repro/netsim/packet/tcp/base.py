@@ -124,7 +124,8 @@ class TcpSender:
         allocate packets from.  The network builder shares one pool per
         simulation and recycles packets after their ack/loss handler
         runs; a pooled packet has every field rewritten on reuse, so
-        results are bit-identical with or without a pool.
+        results are bit-identical with or without a pool.  Without one,
+        the sender allocates from a private pool nothing releases to.
     """
 
     #: Pacing-rate multiple of cwnd/RTT used during congestion avoidance by
@@ -174,7 +175,7 @@ class TcpSender:
         self.base_rtt_s = float(base_rtt_s)
         self.paced = bool(paced)
         self.batch_segments = int(batch_segments)
-        self._pool = pool
+        self._pool = pool if pool is not None else PacketPool()
         #: Whether the flow negotiated ECN at all (either response mode).
         self.ecn = ecn_mode is not None
         #: ``"classic"`` / ``"l4s"`` / ``None`` (no ECN).
@@ -521,29 +522,16 @@ class TcpSender:
         else:
             self._new_packets_sent += segments
         size = self.mss_bytes * segments
-        if self._pool is not None:
-            packet = self._pool.acquire(
-                self.flow_id,
-                self.next_sequence,
-                size,
-                self.scheduler.now,
-                retransmission,
-                self.ecn,
-                self.ecn_mode == "l4s",
-                segments,
-            )
-        else:
-            packet = Packet(
-                self.flow_id,
-                self.next_sequence,
-                size,
-                self.scheduler.now,
-                retransmission,
-                self.ecn,
-                self.ecn_mode == "l4s",
-                False,  # ce_marked
-                segments,
-            )
+        packet = self._pool.acquire(
+            self.flow_id,
+            self.next_sequence,
+            size,
+            self.scheduler.now,
+            retransmission,
+            self.ecn,
+            self.ecn_mode == "l4s",
+            segments,
+        )
         self.next_sequence += 1
         self.packets_sent += segments
         self.bytes_sent += size
