@@ -583,11 +583,13 @@ class TcpSender:
             return
         if not self._can_send():
             return
-        if self._next_pacing_time > self.scheduler.now:
-            self._pacing_timer_armed = True
-            self.scheduler.schedule(self._next_pacing_time, self._pacing_timer_fired)
-        else:
+        now = self.scheduler.now
+        send_at = max(now, self._next_pacing_time)
+        if send_at <= now:
             self._send_paced_packet()
+        else:
+            self._pacing_timer_armed = True
+            self.scheduler.schedule(send_at, self._pacing_timer_fired)
 
     def _pacing_timer_fired(self) -> None:
         self._pacing_timer_armed = False
@@ -596,9 +598,7 @@ class TcpSender:
 
     def _send_paced_packet(self) -> None:
         packet = self._send_one()
-        rate = self.current_pacing_rate_bps()
-        if 1.0 > rate:
-            rate = 1.0
+        rate = max(self.current_pacing_rate_bps(), 1.0)
         # A macro-packet earns a proportionally longer pacing interval,
         # so the paced *byte* rate is unchanged by batching (for a
         # single-segment packet this is exactly the old mss/rate gap).
