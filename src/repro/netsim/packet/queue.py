@@ -45,7 +45,6 @@ import math
 import random
 from collections import deque
 from collections.abc import Callable
-from functools import partial
 
 from repro.netsim.packet.engine import EventScheduler
 from repro.netsim.packet.packets import Packet
@@ -259,7 +258,7 @@ class QueueDiscipline:
         # Inline transmission_time(packet): one call less per packet.
         finish = self._scheduler.now + size * 8.0 / self._rate_bps
         self._service_finish_time = finish
-        self._scheduler.schedule(finish, partial(self._finish_service, packet))
+        self._scheduler.schedule(finish, lambda p=packet: self._finish_service(p))
 
     def _finish_service(self, packet: Packet) -> None:
         now = self._scheduler.now

@@ -409,11 +409,9 @@ class TcpSender:
         segments = packet.segments
         self.packets_acked += segments
         self.bytes_acked += packet.size_bytes
-        inflight = self.inflight - segments
-        self.inflight = inflight if inflight > 0 else 0
+        self.inflight = max(self.inflight - segments, 0)
         if rtt_sample > 0:
-            if rtt_sample < self.min_rtt:
-                self.min_rtt = rtt_sample
+            self.min_rtt = min(self.min_rtt, rtt_sample)
             # Standard EWMA with alpha = 1/8.
             self.srtt = 0.875 * self.srtt + 0.125 * rtt_sample
         if packet.ce_marked:
@@ -472,8 +470,7 @@ class TcpSender:
             return  # stale feedback for an already-finished transfer
         segments = packet.segments
         self.packets_lost += segments
-        inflight = self.inflight - segments
-        self.inflight = inflight if inflight > 0 else 0
+        self.inflight = max(self.inflight - segments, 0)
         self._pending_retransmissions += segments
         self.on_loss(packet)
         self._try_send()

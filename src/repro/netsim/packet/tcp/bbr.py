@@ -23,7 +23,6 @@ the sharing behaviour under study.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 from repro.netsim.packet.packets import Packet
@@ -71,8 +70,8 @@ class BBRSender(TcpSender):
     @property
     def estimated_bdp_packets(self) -> float:
         """Estimated bandwidth-delay product in packets."""
-        rtt = self.min_rtt if self.min_rtt != math.inf else self.base_rtt_s
-        return self._max_bw * rtt / (self.mss_bytes * 8.0)
+        rtt = self.min_rtt if self.min_rtt != float("inf") else self.base_rtt_s
+        return self.bottleneck_bw_bps * rtt / (self.mss_bytes * 8.0)
 
     def _add_bw_sample(self, rate: float) -> None:
         """Append a delivery-rate sample and keep the windowed max current.
@@ -91,13 +90,11 @@ class BBRSender(TcpSender):
 
     def current_pacing_rate_bps(self) -> float:
         """Pacing rate: the phase gain times the bottleneck estimate."""
-        rate = self._pacing_gain * self._max_bw
-        return 1e3 if 1e3 > rate else rate
+        return max(self._pacing_gain * self.bottleneck_bw_bps, 1e3)
 
     def window_limit(self) -> int:
         """Inflight cap: the cwnd gain times the estimated BDP."""
-        limit = int(self._cwnd_gain * self.estimated_bdp_packets)
-        return limit if limit > 4 else 4
+        return max(int(self._cwnd_gain * self.estimated_bdp_packets), 4)
 
     def _send_one(self) -> Packet:  # record delivery state at send time
         self._delivered_at_send[self.next_sequence] = (
@@ -149,7 +146,7 @@ class BBRSender(TcpSender):
 
     def _update_phase(self) -> None:
         now = self.scheduler.now
-        rtt = self.min_rtt if self.min_rtt != math.inf else self.base_rtt_s
+        rtt = self.min_rtt if self.min_rtt != float("inf") else self.base_rtt_s
 
         if now - self._round_start_time >= rtt:
             self._round_start_time = now

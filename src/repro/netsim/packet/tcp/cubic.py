@@ -56,18 +56,14 @@ class CubicSender(TcpSender):
             self._begin_epoch()
         t = self.scheduler.now - (self._epoch_start or self.scheduler.now)
         target = self.C * (t - self._k) ** 3 + self._w_max
-        cwnd = self.cwnd
-        spread = 1.0 if 1.0 > cwnd else cwnd  # max(cwnd, 1.0)
         # TCP-friendly region: emulate Reno's average growth rate.
-        w_tcp = self._w_tcp + 3.0 * self.BETA / (2.0 - self.BETA) / spread
-        self._w_tcp = w_tcp
-        if w_tcp > target:
-            target = w_tcp
-        if target > cwnd:
+        self._w_tcp += 3.0 * self.BETA / (2.0 - self.BETA) / max(self.cwnd, 1.0)
+        target = max(target, self._w_tcp)
+        if target > self.cwnd:
             # Spread the increase over the acks of one RTT.
-            self.cwnd = cwnd + (target - cwnd) / spread
+            self.cwnd += (target - self.cwnd) / max(self.cwnd, 1.0)
         else:
-            self.cwnd = cwnd + 0.01 / spread
+            self.cwnd += 0.01 / max(self.cwnd, 1.0)
 
     def on_ack_batch(self, packet: Packet, rtt_sample: float, segments: int) -> None:
         """O(1) growth for a batch of ``segments`` acks.

@@ -24,11 +24,10 @@ class RenoSender(TcpSender):
 
     def on_ack(self, packet: Packet, rtt_sample: float) -> None:
         """AIMD growth: +1 per ack in slow start, +1/cwnd afterwards."""
-        cwnd = self.cwnd
-        if cwnd < self.ssthresh:  # slow start
-            self.cwnd = cwnd + 1.0
+        if self.in_slow_start:
+            self.cwnd += 1.0
         else:
-            self.cwnd = cwnd + 1.0 / (1.0 if 1.0 > cwnd else cwnd)
+            self.cwnd += 1.0 / max(self.cwnd, 1.0)
 
     def on_ack_batch(self, packet: Packet, rtt_sample: float, segments: int) -> None:
         """O(1) growth for a batch of ``segments`` acks.
