@@ -171,8 +171,11 @@ def run_campaign(
     """Run every arm of ``campaign`` and return the folded results.
 
     Arms sharing a content key are executed once and fanned back out to
-    every referencing stage.  When ``rundir`` is given, ``manifest.json``
-    and ``results.json`` are written there (the directory is created).
+    every referencing stage; each arm is hashed once, when it compiles.
+    Paired-link arms of one seed share one paired-link run (see
+    :class:`~repro.runner.executor.ParallelExecutor`).  When ``rundir``
+    is given, ``manifest.json`` and ``results.json`` are written there
+    (the directory is created).
     """
     arms = campaign.arms()
     unique: dict[str, CampaignArm] = {}
@@ -188,7 +191,7 @@ def run_campaign(
         profile=profile,
         on_task_done=on_task_done,
     )
-    outputs = executor.map([arm.spec for arm in unique.values()])
+    outputs = executor.map([arm.spec for arm in unique.values()], keys=list(unique))
     cells_by_key = {
         key: _normalize_cells(value, unique[key])
         for key, value in zip(unique, outputs)

@@ -9,6 +9,11 @@ figure-specific arguments.  The runner task, :func:`figure_cells_spec`,
 the campaign compiler, the ``repro`` CLI and :mod:`repro.api` all read
 this table, so adding a figure means adding one entry.
 
+Figures read off one run declare that run as their ``source`` and a
+view over it as their reducer: the paired-link figures all read one
+paired-link experiment, so arms of several of them at one seed run it
+once (:func:`reduce_figures`; record once, report many).
+
 The module also holds the helpers that turn CLI arguments into a
 result cache and a run tracer, which the printers share with the other
 ``repro`` subcommands.
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
@@ -34,7 +39,7 @@ from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments import PairedLinkOutcome
+    from repro.experiments import PairedLinkExperiment, PairedLinkOutcome
     from repro.experiments.paired_link import CellMeans
     from repro.experiments.lab_common import LabFigure
     from repro.experiments.lab_topology import AqmBiasComparison
@@ -46,6 +51,8 @@ __all__ = [
     "FIGURES",
     "get_figure",
     "figure_cells_spec",
+    "shared_source",
+    "reduce_figures",
     "make_cache",
     "make_tracer",
 ]
@@ -85,9 +92,10 @@ class FigureDef:
         functions of their knobs, so replications collapse to one
         seed-free arm.
     cells:
-        The ``figure.cells`` reducer: runs one replication and returns its
-        flat ``{cell name: value}`` mapping.  Called with the figure's
-        knobs, plus ``seed`` when seeded.
+        The ``figure.cells`` reducer: returns one replication's flat
+        ``{cell name: value}`` mapping.  Without a ``source`` it runs the
+        replication, called with the figure's knobs, plus ``seed`` when
+        seeded; with one it is a view that reads the source's result.
     show:
         The CLI printer, called with the parsed arguments and the
         figure's subparser (for usage errors).
@@ -95,6 +103,10 @@ class FigureDef:
         Adds figure-specific flags to the figure's subparser.
     traced:
         Whether the subcommand takes ``--trace``/``--profile``.
+    source:
+        The run several figures read (the paired-link experiment),
+        called like a reducer.  Arms of figures with the same source,
+        knobs and seed run it once (:func:`reduce_figures`).
     """
 
     name: str
@@ -106,14 +118,15 @@ class FigureDef:
     show: Callable[[argparse.Namespace, argparse.ArgumentParser], None]
     add_arguments: Callable[[argparse.ArgumentParser], None] | None = None
     traced: bool = False
+    source: Callable[..., Any] | None = None
 
-    def reduce(self, quick: bool, noise: float, seed: int | None) -> dict[str, float]:
-        """One replication's cells, passing the reducer only what it consumes."""
+    def arguments(self, quick: bool, noise: float, seed: int | None) -> dict[str, Any]:
+        """What the reducer (or source) consumes: its knobs, plus ``seed`` when seeded."""
         given = {"quick": quick, "noise": noise}
         kwargs: dict[str, Any] = {knob: given[knob] for knob in sorted(self.knobs)}
         if self.seeded:
             kwargs["seed"] = seed
-        return self.cells(**kwargs)
+        return kwargs
 
     def check_knobs(self, names: Iterable[str], allowed: frozenset[str]) -> None:
         """Raise :class:`ValueError` naming any of ``names`` not in ``allowed``."""
@@ -159,6 +172,40 @@ def figure_cells_spec(
     if label is None:
         label = f"{figure}[seed={arm_seed}]" if entry.seeded else f"{figure}[deterministic]"
     return ScenarioSpec(task="figure.cells", params=params, seed=arm_seed, label=label)
+
+
+def shared_source(
+    figure: str, quick: bool = False, noise: float = 0.0, seed: int | None = 0
+) -> Hashable | None:
+    """What a ``figure.cells`` arm shares its run by, or ``None`` if it runs alone.
+
+    Arms with equal keys read one run of their figures' source.
+    """
+    entry = get_figure(figure)
+    if entry.source is None:
+        return None
+    return (entry.source, tuple(entry.arguments(quick, noise, seed).items()))
+
+
+def reduce_figures(
+    figures: Sequence[str], quick: bool = False, noise: float = 0.0, seed: int | None = 0
+) -> list[dict[str, float]]:
+    """One replication of each of ``figures``, in order.
+
+    Figures with a source must share it (equal :func:`shared_source`
+    keys): the source runs once and each figure's view reads the result.
+    A figure without a source comes alone and is its own reducer.
+    """
+    sources = {shared_source(name, quick, noise, seed) for name in figures}
+    if len(sources) != 1 or (None in sources and len(figures) != 1):
+        raise ValueError(f"figures {list(figures)} do not share a source run")
+    entries = [get_figure(name) for name in figures]
+    source = entries[0].source
+    kwargs = entries[0].arguments(quick, noise, seed)
+    if source is None:
+        return [entries[0].cells(**kwargs)]
+    run = source(**kwargs)
+    return [entry.cells(run) for entry in entries]
 
 
 # -- command-line helpers (shared with the other ``repro`` subcommands) --------
@@ -229,15 +276,18 @@ def _show_lab(runner: str, args: argparse.Namespace, parser: argparse.ArgumentPa
 # -- paired-link figures (Section 4.1, Figures 5 and 7-10) ---------------------
 
 
-def _paired_cells(
-    view: Callable[[PairedLinkOutcome], dict[str, float]], *, quick: bool, seed: int | None
-) -> dict[str, float]:
+def _paired_experiment(quick: bool, seed: int) -> PairedLinkExperiment:
     from repro.experiments import PairedLinkExperiment
     from repro.workload import WorkloadConfig
 
-    sessions = 150 if quick else 300
-    config = WorkloadConfig(sessions_at_peak=sessions, seed=0 if seed is None else seed)
-    return view(PairedLinkExperiment(config=config).run())
+    return PairedLinkExperiment(
+        config=WorkloadConfig(sessions_at_peak=150 if quick else 300, seed=seed)
+    )
+
+
+def _paired_run(*, quick: bool, seed: int | None) -> PairedLinkOutcome:
+    """The source of every paired figure: the three workload weeks, analysed."""
+    return _paired_experiment(quick, 0 if seed is None else seed).run()
 
 
 def _show_paired(
@@ -245,12 +295,8 @@ def _show_paired(
     args: argparse.Namespace,
     parser: argparse.ArgumentParser,
 ) -> None:
-    from repro.experiments import PairedLinkExperiment
-    from repro.workload import WorkloadConfig
-
-    sessions = 150 if args.quick else 300
-    config = WorkloadConfig(sessions_at_peak=sessions, seed=args.seed)
-    view(PairedLinkExperiment(config=config).run(jobs=args.jobs, cache=make_cache(args)), args)
+    experiment = _paired_experiment(args.quick, args.seed)
+    view(experiment.run(jobs=args.jobs, cache=make_cache(args)), args)
 
 
 def _baseline_cells(outcome: PairedLinkOutcome) -> dict[str, float]:
@@ -368,7 +414,7 @@ def _print_fig10(outcome: PairedLinkOutcome, args: argparse.Namespace) -> None:
 
     comparison = compare_designs(
         outcome.experiment_table,
-        (0, 1, 2, 3, 4),
+        outcome.days,
         outcome.estimates["tte"],
         baselines=outcome.baselines,
         jobs=args.jobs,
@@ -796,7 +842,8 @@ FIGURES: Mapping[str, FigureDef] = MappingProxyType(
                 "Section 4.1 baseline link-similarity table",
                 QUICK,
                 seeded=True,
-                cells=partial(_paired_cells, _baseline_cells),
+                cells=_baseline_cells,
+                source=_paired_run,
                 show=partial(_show_paired, _print_baseline),
             ),
             FigureDef(
@@ -805,7 +852,8 @@ FIGURES: Mapping[str, FigureDef] = MappingProxyType(
                 "paired-link treatment-effect table (Figure 5)",
                 QUICK,
                 seeded=True,
-                cells=partial(_paired_cells, _fig5_cells),
+                cells=_fig5_cells,
+                source=_paired_run,
                 show=partial(_show_paired, _print_fig5),
             ),
             FigureDef(
@@ -814,7 +862,8 @@ FIGURES: Mapping[str, FigureDef] = MappingProxyType(
                 "paired-link throughput cells (Figure 7)",
                 QUICK,
                 seeded=True,
-                cells=partial(_paired_cells, _fig7_cells),
+                cells=_fig7_cells,
+                source=_paired_run,
                 show=partial(_show_paired, _print_fig7),
             ),
             FigureDef(
@@ -823,7 +872,8 @@ FIGURES: Mapping[str, FigureDef] = MappingProxyType(
                 "paired-link min-RTT cells (Figure 8)",
                 QUICK,
                 seeded=True,
-                cells=partial(_paired_cells, _fig8_cells),
+                cells=_fig8_cells,
+                source=_paired_run,
                 show=partial(_show_paired, _print_fig8),
             ),
             FigureDef(
@@ -832,7 +882,8 @@ FIGURES: Mapping[str, FigureDef] = MappingProxyType(
                 "paired-link retransmission split (Figure 9)",
                 QUICK,
                 seeded=True,
-                cells=partial(_paired_cells, _fig9_cells),
+                cells=_fig9_cells,
+                source=_paired_run,
                 show=partial(_show_paired, _print_fig9),
             ),
             FigureDef(
@@ -841,7 +892,8 @@ FIGURES: Mapping[str, FigureDef] = MappingProxyType(
                 "switchback / event-study design comparison (Figure 10)",
                 QUICK,
                 seeded=True,
-                cells=partial(_paired_cells, _fig10_cells),
+                cells=_fig10_cells,
+                source=_paired_run,
                 show=partial(_show_paired, _print_fig10),
             ),
             FigureDef(

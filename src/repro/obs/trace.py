@@ -24,14 +24,14 @@ import json
 import os
 import sys
 import time
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any
 
 from repro.obs.profile import ProfileRow, merge_profile_rows, run_profiled
 
-__all__ = ["walltime", "TaskRun", "observe_spec", "RunTracer", "ProgressPrinter"]
+__all__ = ["walltime", "TaskRun", "observe_unit", "RunTracer", "ProgressPrinter"]
 
 
 def walltime() -> float:
@@ -46,7 +46,7 @@ def walltime() -> float:
 
 @dataclass(frozen=True)
 class TaskRun:
-    """One executed runner task, as observed by the tracer.
+    """One executed unit of runner work, as observed by the tracer.
 
     Picklable and flat on purpose: workers build these in child
     processes and ship them back to the parent for folding.
@@ -56,7 +56,8 @@ class TaskRun:
     task:
         Task name from the spec (``"packet_arm"``, ``"fleet_shard_arm"``, ...).
     label:
-        Human label from the spec, or the task name when unset.
+        Human labels of the unit's specs (each the task name when
+        unset), comma-separated.
     started:
         Wall time the task started (epoch seconds).
     wall_s:
@@ -66,7 +67,7 @@ class TaskRun:
     profile_rows:
         cProfile hotspot rows when profiling was on, else empty.
     result:
-        The task's return value.
+        The unit's results, one per spec.
     """
 
     task: str
@@ -78,22 +79,25 @@ class TaskRun:
     result: Any = None
 
 
-def observe_spec(spec: Any, profile: bool = False) -> TaskRun:
-    """Execute one runner spec and wrap the outcome in a :class:`TaskRun`.
+def observe_unit(specs: Sequence[Any], profile: bool = False) -> TaskRun:
+    """Execute one unit of work and wrap the outcome in a :class:`TaskRun`.
 
+    A unit is what :func:`repro.runner.tasks.run_unit` runs: one spec, or
+    specs sharing a source run.  Its span names every spec's label and
+    its ``result`` is the list of their results, in spec order.
     Module-level so ``ProcessPoolExecutor`` can pickle it; imports the
     runner lazily to keep ``repro.obs`` import-light and cycle-free.
     """
-    from repro.runner.spec import run_spec
+    from repro.runner.tasks import run_unit
 
     started = walltime()
     if profile:
-        result, rows = run_profiled(lambda: run_spec(spec))
+        result, rows = run_profiled(lambda: run_unit(specs))
     else:
-        result, rows = run_spec(spec), ()
+        result, rows = run_unit(specs), ()
     return TaskRun(
-        task=spec.task,
-        label=spec.label or spec.task,
+        task=specs[0].task,
+        label=", ".join(spec.label or spec.task for spec in specs),
         started=started,
         wall_s=walltime() - started,
         pid=os.getpid(),

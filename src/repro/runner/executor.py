@@ -1,38 +1,36 @@
 """Process-parallel execution of scenario specs.
 
 :class:`ParallelExecutor` is deliberately small: resolve cache hits,
-fan the misses out over a process pool (or run them inline for
-``jobs=1``), store fresh results back into the cache, and return results
-in spec order.  Because every spec carries its own seed, the results are
-bit-identical regardless of ``jobs``.
+group the misses into units of work, run the units on a process pool
+(or inline for ``jobs=1``), write each unit's results through to the
+cache as it completes, and return results in spec order.  A unit is one
+spec, or the specs that share a source run
+(:func:`~repro.runner.tasks.unit_source`: the paired-link figures of one
+seed), which runs once for all of them.  Because every spec carries its
+own seed, the results are bit-identical regardless of ``jobs``.
 
-Observability (all off by default, and the untraced path is exactly the
-historical code): a :class:`~repro.obs.trace.RunTracer` receives task
-spans and cache hit/miss events, ``profile=True`` wraps each task body
-in cProfile, and ``on_task_done`` delivers live progress callbacks —
-``(done, total, run)`` — as tasks complete.  None of these change what
-is executed or cached, only what is observed about it.
+Observability (all off by default): a :class:`~repro.obs.trace.RunTracer`
+receives one span per unit and cache hit/miss events, ``profile=True``
+wraps each unit in cProfile, and ``on_task_done`` delivers live progress
+callbacks — ``(done, total, run)`` — as units complete.  None of these
+change what is executed or cached, only what is observed about it.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.runner.cache import ResultCache
-from repro.runner.spec import ScenarioSpec, content_key, run_spec
+from repro.runner.spec import ScenarioSpec, content_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RunTracer, TaskRun
 
 __all__ = ["ParallelExecutor", "run_specs"]
-
-
-def _execute(spec: ScenarioSpec) -> Any:
-    # Module-level so worker processes can unpickle a reference to it.
-    return run_spec(spec)
 
 
 class ParallelExecutor:
@@ -46,16 +44,16 @@ class ParallelExecutor:
         value below 1 means "one per CPU".
     cache:
         Optional :class:`ResultCache`.  Hits skip execution entirely;
-        fresh results are stored after execution.
+        fresh results are stored as each unit of work completes.
     tracer:
         Optional :class:`~repro.obs.trace.RunTracer`: receives a span per
-        executed task and a cache event per lookup.
+        executed unit and a cache event per lookup.
     profile:
-        Wrap each executed task in cProfile; the hotspot rows travel back
-        on the task spans (requires a ``tracer`` to go anywhere).
+        Wrap each executed unit in cProfile; the hotspot rows travel back
+        on the spans (requires a ``tracer`` to go anywhere).
     on_task_done:
         Optional live-progress callback, invoked in the parent process as
-        ``on_task_done(done, total, run)`` after each task completes.
+        ``on_task_done(done, total, run)`` after each unit completes.
     """
 
     def __init__(
@@ -81,19 +79,23 @@ class ParallelExecutor:
         """Execute a single spec (through the cache if one is set)."""
         return self.map([spec])[0]
 
-    def map(self, specs: Iterable[ScenarioSpec]) -> list[Any]:
-        """Execute specs and return their results in input order."""
+    def map(self, specs: Iterable[ScenarioSpec], keys: Sequence[str] | None = None) -> list[Any]:
+        """Execute specs and return their results in input order.
+
+        ``keys`` are the specs' content keys, when the caller already
+        holds them (a compiled campaign does); only a cache reads them,
+        and they are computed when not given.
+        """
         specs = list(specs)
         results: list[Any] = [None] * len(specs)
-        keys: dict[int, str] = {}
+        cache_keys: Sequence[str] = ()
         pending: list[int] = []
 
         if self.cache is None:
             pending = list(range(len(specs)))
         else:
-            for i, spec in enumerate(specs):
-                key = content_key(spec)
-                keys[i] = key
+            cache_keys = [content_key(spec) for spec in specs] if keys is None else keys
+            for i, (spec, key) in enumerate(zip(specs, cache_keys, strict=True)):
                 hit, value = self.cache.get(key)
                 if self.tracer is not None:
                     self.tracer.cache_event(hit, spec.label or spec.task)
@@ -101,57 +103,86 @@ class ParallelExecutor:
                     results[i] = value
                 else:
                     pending.append(i)
+        if not pending:
+            return results
 
-        if pending:
-            to_run = [specs[i] for i in pending]
-            if self._observing():
-                fresh = self._execute_observed(to_run)
-            else:
-                fresh = self._execute_pending(to_run)
-            for i, value in zip(pending, fresh):
+        units = _units(specs, pending)
+
+        def store(unit: int, values: Sequence[Any]) -> None:
+            # Write through: a unit's results reach the cache as soon as
+            # it completes, so a later failure keeps the finished work.
+            for i, value in zip(units[unit], values, strict=True):
                 results[i] = value
                 if self.cache is not None:
-                    self.cache.put(keys[i], value)
+                    self.cache.put(cache_keys[i], value)
+
+        self._execute([[specs[i] for i in unit] for unit in units], store)
         return results
 
-    def _execute_pending(self, specs: Sequence[ScenarioSpec]) -> list[Any]:
-        if self.jobs == 1 or len(specs) == 1:
-            return [run_spec(spec) for spec in specs]
-        workers = min(self.jobs, len(specs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_execute, specs))
+    def _execute(
+        self,
+        units: Sequence[Sequence[ScenarioSpec]],
+        done: Callable[[int, Sequence[Any]], None],
+    ) -> None:
+        """Run each unit, calling ``done(index, results)`` as each completes."""
+        from repro.runner.tasks import run_unit
 
-    def _execute_observed(self, specs: Sequence[ScenarioSpec]) -> list[Any]:
-        """Execute with tracing/profiling/progress; same results, observed."""
-        from repro.obs.trace import TaskRun, observe_spec
+        work: Callable[[Sequence[ScenarioSpec]], Any] = run_unit
+        finish: Callable[[int, Any], None] = done
+        if self._observing():
+            from repro.obs.trace import observe_unit
 
-        total = len(specs)
-        results: list[Any] = [None] * total
-        done = 0
+            work = partial(observe_unit, profile=self.profile)
+            finish = self._observed(done, len(units))
+
+        if self.jobs == 1 or len(units) == 1:
+            for index, unit in enumerate(units):
+                finish(index, work(unit))
+            return
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(units))) as pool:
+            futures = {pool.submit(work, unit): index for index, unit in enumerate(units)}
+            for future in as_completed(futures):
+                finish(futures[future], future.result())
+
+    def _observed(
+        self, done: Callable[[int, Sequence[Any]], None], total: int
+    ) -> Callable[[int, TaskRun], None]:
+        """``done`` for observed units: unwrap each span, then report it."""
+        completed = 0
 
         def fold(index: int, run: TaskRun) -> None:
-            nonlocal done
-            done += 1
-            results[index] = run.result
+            nonlocal completed
+            completed += 1
+            done(index, run.result)
             if self.tracer is not None:
                 self.tracer.task(run)
             if self.on_task_done is not None:
-                self.on_task_done(done, total, run)
+                self.on_task_done(completed, total, run)
 
-        if self.jobs == 1 or total == 1:
-            for index, spec in enumerate(specs):
-                fold(index, observe_spec(spec, self.profile))
-            return results
+        return fold
 
-        workers = min(self.jobs, total)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(observe_spec, spec, self.profile): index
-                for index, spec in enumerate(specs)
-            }
-            for future in as_completed(futures):
-                fold(futures[future], future.result())
-        return results
+
+def _units(specs: Sequence[ScenarioSpec], pending: Iterable[int]) -> list[list[int]]:
+    """Group pending spec indices into units of work, in first-seen order.
+
+    Specs that share a source run (equal
+    :func:`~repro.runner.tasks.unit_source`) form one unit; every other
+    spec is a unit of its own.
+    """
+    from repro.runner.tasks import unit_source
+
+    units: list[list[int]] = []
+    shared: dict[Hashable, list[int]] = {}
+    for i in pending:
+        source = unit_source(specs[i])
+        if source is None:
+            units.append([i])
+        elif source in shared:
+            shared[source].append(i)
+        else:
+            shared[source] = [i]
+            units.append(shared[source])
+    return units
 
 
 def run_specs(

@@ -10,14 +10,17 @@ cheap.
 Every task accepts a ``seed`` keyword argument and derives all of its
 randomness from it (or ignores it when the underlying computation is
 deterministic), so a task's result is a pure function of its spec.
+
+The module also says which specs share a source run (:func:`unit_source`)
+and runs such a group as one unit of work (:func:`run_unit`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from typing import Any
 
-from repro.runner.spec import register_task
+from repro.runner.spec import ScenarioSpec, register_task, run_spec
 
 __all__ = [
     "echo",
@@ -29,6 +32,8 @@ __all__ = [
     "switchback_emulation",
     "event_study_emulation",
     "figure_cells",
+    "unit_source",
+    "run_unit",
 ]
 
 
@@ -247,7 +252,41 @@ def figure_cells(
     the figure's reducer in :data:`repro.figures.FIGURES`, which receives
     only the knobs the figure consumes (``noise`` for lab figures,
     ``quick`` for the rest) and the seed only if the figure is seeded.
+    A lone arm is a unit of one: it runs the code a shared unit runs.
     """
-    from repro.figures import get_figure
+    from repro.figures import reduce_figures
 
-    return get_figure(figure).reduce(quick=quick, noise=noise, seed=seed)
+    return reduce_figures((figure,), quick=quick, noise=noise, seed=seed)[0]
+
+
+# -- units of work -------------------------------------------------------------
+
+
+def unit_source(spec: ScenarioSpec) -> Hashable | None:
+    """The source run ``spec`` shares with other specs, or ``None``.
+
+    Only ``figure.cells`` arms share one: arms of figures that read the
+    same source at equal knobs and seed (the paired-link figures at one
+    ``(quick, seed)``).  The executor runs specs with equal sources as
+    one unit of work.
+    """
+    if spec.task != "figure.cells":
+        return None
+    from repro.figures import shared_source
+
+    return shared_source(seed=spec.seed, **spec.params)
+
+
+def run_unit(specs: Sequence[ScenarioSpec]) -> list[Any]:
+    """Execute one unit of work and return its results in spec order.
+
+    A unit is a single spec, or specs with one :func:`unit_source`,
+    whose source runs once.
+    """
+    if len(specs) == 1:
+        return [run_spec(specs[0])]
+    from repro.figures import reduce_figures
+
+    params = {name: value for name, value in specs[0].params.items() if name != "figure"}
+    figures = [spec.params["figure"] for spec in specs]
+    return reduce_figures(figures, seed=specs[0].seed, **params)

@@ -11,7 +11,7 @@ from repro.obs import (
     merge_profile_rows,
 )
 from repro.obs.profile import run_profiled
-from repro.obs.trace import observe_spec
+from repro.obs.trace import observe_unit
 from repro.runner import ParallelExecutor, ResultCache, ScenarioSpec
 
 
@@ -118,19 +118,17 @@ class TestProfiling:
         assert len(table.splitlines()) == 6  # header + 5 rows
 
 
-class TestObserveSpec:
+class TestObserveUnit:
     def test_wraps_result_and_timing(self):
-        run = observe_spec(ScenarioSpec(task="debug.echo", params={"x": 1}, seed=7))
+        run = observe_unit([ScenarioSpec(task="debug.echo", params={"x": 1}, seed=7)])
         assert run.task == "debug.echo"
-        assert run.result["x"] == 1
+        assert run.result[0]["x"] == 1
         assert run.wall_s >= 0.0
         assert run.pid > 0
         assert run.profile_rows == ()
 
     def test_profile_flag_collects_rows(self):
-        run = observe_spec(
-            ScenarioSpec(task="debug.echo", params={"x": 1}), profile=True
-        )
+        run = observe_unit([ScenarioSpec(task="debug.echo", params={"x": 1})], profile=True)
         assert run.profile_rows
 
 

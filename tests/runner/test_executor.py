@@ -1,10 +1,19 @@
 """Tests for the parallel executor."""
 
 import os
+import time
 
 import pytest
 
-from repro.runner import ParallelExecutor, ResultCache, ScenarioSpec, register_task, run_specs
+from repro.campaign import parse_campaign, run_campaign
+from repro.runner import (
+    ParallelExecutor,
+    ResultCache,
+    ScenarioSpec,
+    content_key,
+    register_task,
+    run_specs,
+)
 
 _EXECUTIONS = []
 
@@ -18,6 +27,12 @@ def _record(value, seed=None):
 @register_task("test.fail")
 def _fail(seed=None):
     raise RuntimeError("task exploded")
+
+
+@register_task("test.fail_after")
+def _fail_after(delay_s, seed=None):
+    time.sleep(delay_s)
+    raise RuntimeError("late task exploded")
 
 
 def _echo_specs(n):
@@ -90,3 +105,46 @@ class TestExecutorCaching:
         ParallelExecutor(jobs=1, cache=cache).map(specs[:2])
         results = ParallelExecutor(jobs=1, cache=cache).map(specs)
         assert [r["index"] for r in results] == list(range(4))
+
+    def test_given_keys_are_used_instead_of_hashing(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        specs = _echo_specs(2)
+        ParallelExecutor(jobs=1, cache=cache).map(specs, keys=["k0", "k1"])
+        assert cache.get("k1") == (True, specs[1].run())
+        assert cache.get(content_key(specs[1])) == (False, None)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_finished_results_are_cached_before_a_later_failure(self, tmp_path, jobs):
+        cache = ResultCache(tmp_path)
+        specs = _echo_specs(3) + [ScenarioSpec(task="test.fail_after", params={"delay_s": 0.5})]
+        with pytest.raises(RuntimeError, match="late task exploded"):
+            ParallelExecutor(jobs=jobs, cache=cache).map(specs)
+        for spec in specs[:3]:
+            assert cache.get(content_key(spec)) == (True, spec.run())
+        assert cache.get(content_key(specs[3]))[0] is False
+
+
+class TestCampaignKeys:
+    def test_warm_pass_hashes_each_compiled_arm_once(self, tmp_path, monkeypatch):
+        campaign = parse_campaign(
+            {
+                "campaign": "keys",
+                "stages": [
+                    {"figure": "fig2a", "noise": 0.05, "seeds": [1, 2]},
+                    {"figure": "fig2a", "name": "again", "noise": 0.05, "seeds": [1]},
+                ],
+            }
+        )
+        run_campaign(campaign, cache=ResultCache(tmp_path))
+
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.label)
+            return content_key(spec)
+
+        monkeypatch.setattr("repro.campaign.spec.content_key", counted)
+        monkeypatch.setattr("repro.runner.executor.content_key", counted)
+        warm = run_campaign(campaign, cache=ResultCache(tmp_path))
+        assert (warm.cache_hits, warm.cache_misses, warm.unique_arms) == (2, 0, 2)
+        assert calls == ["fig2a[seed=1]", "fig2a[seed=2]", "again[seed=1]"]
