@@ -45,7 +45,7 @@ def test_ablation_connections_on_packet_simulator(benchmark):
     all_one = _all_one()
     all_two = _all_two()
 
-    ab_ratio = ab.group_mean_throughput(True) / ab.group_mean_throughput(False)
+    ab_ratio = ab.group_mean("throughput_mbps", True) / ab.group_mean("throughput_mbps", False)
     tte_ratio = all_two.total_throughput_mbps() / all_one.total_throughput_mbps()
     print(f"\npacket-level A/B throughput ratio (2 conns / 1 conn): {ab_ratio:.2f}")
     print(f"packet-level all-two vs all-one aggregate throughput ratio: {tte_ratio:.2f}")

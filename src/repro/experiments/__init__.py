@@ -32,7 +32,7 @@ substrate and returns the rows/series behind the paper's figures:
   switchback and event study (Figures 10-12) and the A/A calibration.
 """
 
-from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure, sweep_to_figure
+from repro.experiments.lab_common import LabFigure, sweep_to_figure
 from repro.experiments.lab_connections import run_connections_experiment
 from repro.experiments.lab_pacing import run_pacing_experiment
 from repro.experiments.lab_cc import run_cc_experiment
@@ -64,7 +64,6 @@ from repro.experiments.lab_fleet import FleetBiasComparison, FleetOutcome, run_f
 __all__ = [
     "LabFigure",
     "sweep_to_figure",
-    "packet_sweep_to_figure",
     "run_connections_experiment",
     "run_pacing_experiment",
     "run_cc_experiment",

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.core.designs.switchback import SwitchbackDesign
-from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
+from repro.experiments.lab_common import BiasComparison, LabFigure, sweep_to_figure
 from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -108,40 +108,26 @@ class ChurnStats:
 
 
 @dataclass
-class ChurnBiasComparison:
+class ChurnBiasComparison(BiasComparison):
     """The connection-count sweep at several churn intensities.
 
     ``figures[rate]`` is the :class:`LabFigure` with churn arriving at
-    ``rate`` flows/s; :meth:`bias` reduces each to how far the naive A/B
-    estimate sits from the true total treatment effect.  ``churn[rate]``
-    summarizes the dynamic flows themselves (counts and mean FCT).
+    ``rate`` flows/s.  ``churn[rate]`` summarizes the dynamic flows
+    themselves (counts and mean FCT).
     """
 
-    figures: dict[float, LabFigure]
+    HEADING = "=== churn intensity: {:g} flows/s ==="
+    ROW = "churn {:>5g}/s"
+
     churn: dict[float, ChurnStats]
-    allocation: float = 0.5
 
     def rates(self) -> tuple[float, ...]:
         """Churn intensities in sweep order."""
         return tuple(self.figures)
 
-    def bias(self, rate: float, metric: str = "throughput_mbps") -> float:
-        """Naive A/B estimate minus the TTE at :attr:`allocation` (per unit)."""
-        figure = self.figures[rate]
-        return figure.ab_estimate(metric, self.allocation) - figure.tte(metric)
-
     def summary_lines(self) -> list[str]:
         """Per-intensity figure summaries plus the bias/FCT comparison."""
-        lines: list[str] = []
-        for rate, figure in self.figures.items():
-            lines.append(f"=== churn intensity: {rate:g} flows/s ===")
-            lines.extend(figure.summary_lines())
-        lines.append("")
-        lines.append(
-            f"A/B-vs-TTE bias at {self.allocation:.0%} allocation (throughput, Mb/s per unit):"
-        )
-        for rate in self.figures:
-            lines.append(f"  churn {rate:>5g}/s: {self.bias(rate):+.2f}")
+        lines = super().summary_lines()
         lines.append("churning flows at the 50% allocation arm:")
         for rate, stats in self.churn.items():
             fct = "-" if stats.mean_fct_s is None else f"{stats.mean_fct_s:.3f}s"
@@ -220,7 +206,7 @@ def run_churn_experiment(
             cache=cache,
             **scale,
         )
-        figures[rate] = packet_sweep_to_figure(
+        figures[rate] = sweep_to_figure(
             sweep,
             name=f"topo_churn[{rate:g}/s]",
             description=(
@@ -517,12 +503,12 @@ def run_switchback_ramp_experiment(
     # the control arm of control intervals — at the realized (possibly
     # mixed) allocations.
     switchback_treated = [
-        sweeps[i].results[k_hi].group_mean_throughput(True)
+        sweeps[i].results[k_hi].group_mean("throughput_mbps", True)
         for i in range(n_intervals)
         if i in treated_set
     ]
     switchback_control = [
-        sweeps[i].results[k_lo].group_mean_throughput(False)
+        sweeps[i].results[k_lo].group_mean("throughput_mbps", False)
         for i in range(n_intervals)
         if i not in treated_set
     ]
@@ -540,24 +526,24 @@ def run_switchback_ramp_experiment(
             k = k_hi if i in treated_set else k_lo
             result = sweeps[i].results[k]
             per_interval.append(
-                result.group_mean_throughput(True)
-                - result.group_mean_throughput(False)
+                result.group_mean("throughput_mbps", True)
+                - result.group_mean("throughput_mbps", False)
             )
         within_interval = sum(per_interval) / n_intervals
 
     truth_per_interval = [
-        sweeps[i].results[n_units].group_mean_throughput(True)
-        - sweeps[i].results[0].group_mean_throughput(False)
+        sweeps[i].results[n_units].group_mean("throughput_mbps", True)
+        - sweeps[i].results[0].group_mean("throughput_mbps", False)
         for i in range(n_intervals)
     ]
     truth_tte = sum(truth_per_interval) / n_intervals
 
     midpoint = n_intervals // 2
     before = [
-        sweeps[i].results[0].group_mean_throughput(False) for i in range(midpoint)
+        sweeps[i].results[0].group_mean("throughput_mbps", False) for i in range(midpoint)
     ]
     after = [
-        sweeps[i].results[n_units].group_mean_throughput(True)
+        sweeps[i].results[n_units].group_mean("throughput_mbps", True)
         for i in range(midpoint, n_intervals)
     ]
     event_study_estimate = sum(after) / len(after) - sum(before) / len(before)

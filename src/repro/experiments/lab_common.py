@@ -10,20 +10,16 @@ spillover) so benchmarks and examples can print them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Any, ClassVar
 
-from repro.core.estimands import PotentialOutcomeCurve
-from repro.netsim.fluid.lab import LAB_METRICS, LabSweepResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.netsim.packet.sweep import PacketSweepResult
+from repro.core.estimands import LAB_METRICS, AllocationSweep, PotentialOutcomeCurve
 
 __all__ = [
     "LabFigureRow",
     "LabFigure",
+    "BiasComparison",
     "sweep_to_figure",
-    "packet_sweep_to_figure",
 ]
 
 
@@ -108,8 +104,8 @@ class LabFigure:
         return lines
 
 
-def sweep_to_figure(sweep: LabSweepResult, name: str, description: str) -> LabFigure:
-    """Convert a lab allocation sweep into the figure representation."""
+def sweep_to_figure(sweep: AllocationSweep, name: str, description: str) -> LabFigure:
+    """Convert a fluid or packet allocation sweep into the figure representation."""
     rows: list[LabFigureRow] = []
     for k in sorted(sweep.results):
         result = sweep.results[k]
@@ -142,42 +138,39 @@ def sweep_to_figure(sweep: LabSweepResult, name: str, description: str) -> LabFi
     )
 
 
-def packet_sweep_to_figure(
-    sweep: PacketSweepResult, name: str, description: str
-) -> LabFigure:
-    """Convert a packet-level allocation sweep into the figure representation.
+@dataclass
+class BiasComparison:
+    """One lab figure per arm, each reduced to its A/B-vs-TTE bias.
 
-    The packet and fluid sweeps expose the same potential-outcome curve
-    interface, so the resulting :class:`LabFigure` is interchangeable with
-    the fluid-model figures downstream (summary lines, TTE, spillover).
+    ``figures[key]`` is the :class:`LabFigure` of one arm; :meth:`bias`
+    reduces it to how far the naive A/B estimate at :attr:`allocation`
+    sits from the true total treatment effect.  Subclasses name their
+    arms through two ``str.format`` templates, :attr:`HEADING` (the line
+    above each arm's figure) and :attr:`ROW` (the arm's label in the bias
+    table), and append their own lines to :meth:`summary_lines`.
     """
-    rows: list[LabFigureRow] = []
-    for k in sorted(sweep.results):
-        result = sweep.results[k]
-        n = sweep.n_units
-        rows.append(
-            LabFigureRow(
-                n_treated=k,
-                n_control=n - k,
-                allocation=k / n,
-                treatment_throughput_mbps=(
-                    result.group_mean_throughput(True) if k > 0 else None
-                ),
-                control_throughput_mbps=(
-                    result.group_mean_throughput(False) if k < n else None
-                ),
-                treatment_retransmit=(
-                    result.group_mean_retransmit(True) if k > 0 else None
-                ),
-                control_retransmit=(
-                    result.group_mean_retransmit(False) if k < n else None
-                ),
-            )
+
+    HEADING: ClassVar[str]
+    ROW: ClassVar[str]
+
+    figures: dict[Any, LabFigure]
+    allocation: float = field(default=0.5, kw_only=True)
+
+    def bias(self, key: Any, metric: str = "throughput_mbps") -> float:
+        """Naive A/B estimate minus the TTE at :attr:`allocation` (per unit)."""
+        figure = self.figures[key]
+        return figure.ab_estimate(metric, self.allocation) - figure.tte(metric)
+
+    def summary_lines(self) -> list[str]:
+        """Per-arm figure summaries plus the bias comparison."""
+        lines: list[str] = []
+        for key, figure in self.figures.items():
+            lines.append(self.HEADING.format(key))
+            lines.extend(figure.summary_lines())
+        lines.append("")
+        lines.append(
+            f"A/B-vs-TTE bias at {self.allocation:.0%} allocation (throughput, Mb/s per unit):"
         )
-    return LabFigure(
-        name=name,
-        description=description,
-        rows=rows,
-        throughput_curve=sweep.curve("throughput_mbps"),
-        retransmit_curve=sweep.curve("retransmit_fraction"),
-    )
+        for key in self.figures:
+            lines.append(f"  {self.ROW.format(key)}: {self.bias(key):+.2f}")
+        return lines

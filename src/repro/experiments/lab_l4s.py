@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
+from repro.experiments.lab_common import BiasComparison, LabFigure, sweep_to_figure
 from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
@@ -64,30 +64,24 @@ L4S_ARMS: tuple[tuple[str, str, bool | str, bool], ...] = (
 
 
 @dataclass
-class L4sBiasComparison:
+class L4sBiasComparison(BiasComparison):
     """The connection-count sweep under the four L4S-lab arms.
 
-    ``figures[arm]`` is the :class:`LabFigure` obtained under that arm;
-    :meth:`bias` reduces each to how far the naive A/B estimate sits
-    from the true total treatment effect.  The coexistence fields hold
-    the mixed classic+L4S run on the DualPI2 bottleneck: mean per-unit
-    throughput of each camp, whose ratio the RFC 9332 coupling law is
-    designed to keep near one.
+    ``figures[arm]`` is the :class:`LabFigure` obtained under that arm.
+    The coexistence fields hold the mixed classic+L4S run on the DualPI2
+    bottleneck: mean per-unit throughput of each camp, whose ratio the
+    RFC 9332 coupling law is designed to keep near one.
     """
 
-    figures: dict[str, LabFigure]
+    HEADING = "=== arm: {} ==="
+    ROW = "{:>14}"
+
     coexistence_l4s_mbps: float
     coexistence_classic_mbps: float
-    allocation: float = 0.5
 
     def arms(self) -> tuple[str, ...]:
         """Arm names in sweep order."""
         return tuple(self.figures)
-
-    def bias(self, arm: str, metric: str = "throughput_mbps") -> float:
-        """Naive A/B estimate minus the TTE at :attr:`allocation` (per unit)."""
-        figure = self.figures[arm]
-        return figure.ab_estimate(metric, self.allocation) - figure.tte(metric)
 
     @property
     def coexistence_ratio(self) -> float:
@@ -96,27 +90,12 @@ class L4sBiasComparison:
 
     def summary_lines(self) -> list[str]:
         """Per-arm figure summaries plus the bias and coexistence report."""
-        lines: list[str] = []
-        for arm, figure in self.figures.items():
-            lines.append(f"=== arm: {arm} ===")
-            lines.extend(figure.summary_lines())
-        lines.append("")
-        lines.append(
-            f"A/B-vs-TTE bias at {self.allocation:.0%} allocation "
-            f"(throughput, Mb/s per unit):"
-        )
-        for arm in self.figures:
-            lines.append(f"  {arm:>14}: {self.bias(arm):+.2f}")
-        lines.append(
-            "classic/L4S coexistence on one DualPI2 bottleneck "
-            "(mean per-unit throughput):"
-        )
-        lines.append(
+        return super().summary_lines() + [
+            "classic/L4S coexistence on one DualPI2 bottleneck (mean per-unit throughput):",
             f"  l4s {self.coexistence_l4s_mbps:.2f} Mb/s vs classic "
             f"{self.coexistence_classic_mbps:.2f} Mb/s "
-            f"(ratio {self.coexistence_ratio:.2f})"
-        )
-        return lines
+            f"(ratio {self.coexistence_ratio:.2f})",
+        ]
 
 
 def run_l4s_experiment(
@@ -171,7 +150,7 @@ def run_l4s_experiment(
             **scale,
         )
         ecn_label = "no ECN" if ecn is False else f"ecn={ecn}"
-        figures[arm] = packet_sweep_to_figure(
+        figures[arm] = sweep_to_figure(
             sweep,
             name=f"topo_l4s[{arm}]",
             description=(
@@ -203,6 +182,6 @@ def run_l4s_experiment(
     mixed = coexistence.results[half]
     return L4sBiasComparison(
         figures=figures,
-        coexistence_l4s_mbps=mixed.group_mean_throughput(True),
-        coexistence_classic_mbps=mixed.group_mean_throughput(False),
+        coexistence_l4s_mbps=mixed.group_mean("throughput_mbps", True),
+        coexistence_classic_mbps=mixed.group_mean("throughput_mbps", False),
     )

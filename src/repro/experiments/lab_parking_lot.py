@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
+from repro.experiments.lab_common import BiasComparison, sweep_to_figure
 from repro.experiments.lab_topology import AqmBiasComparison, run_aqm_experiment
 from repro.netsim.packet.network import parking_lot_path, parking_lot_queues
 from repro.netsim.packet.simulation import FlowConfig
@@ -88,12 +88,11 @@ def _unit_start_segment(unit: int, n_segments: int) -> int:
 
 
 @dataclass
-class ParkingLotComparison:
+class ParkingLotComparison(BiasComparison):
     """The connection-count sweep on a single bottleneck vs a parking lot.
 
     ``figures`` holds one :class:`LabFigure` per topology (``"single"``,
-    ``"parking"``); :meth:`bias` reduces each to how far the naive A/B
-    estimate sits from the true total treatment effect.
+    ``"parking"``).
 
     Attributes
     ----------
@@ -107,33 +106,18 @@ class ParkingLotComparison:
         crosses — interference a per-queue audit cannot localize.
     """
 
-    figures: dict[str, LabFigure]
+    HEADING = "=== topology: {} ==="
+    ROW = "{:>9}"
+
     n_segments: int
     remote_spillover_mbps: float
-    allocation: float = 0.5
-
-    def bias(self, topology: str, metric: str = "throughput_mbps") -> float:
-        """Naive A/B estimate minus the TTE at :attr:`allocation` (per unit)."""
-        figure = self.figures[topology]
-        return figure.ab_estimate(metric, self.allocation) - figure.tte(metric)
 
     def summary_lines(self) -> list[str]:
         """Per-topology figure summaries plus the bias comparison."""
-        lines: list[str] = []
-        for topology, figure in self.figures.items():
-            lines.append(f"=== topology: {topology} ===")
-            lines.extend(figure.summary_lines())
-        lines.append("")
-        lines.append(
-            f"A/B-vs-TTE bias at {self.allocation:.0%} allocation (throughput, Mb/s per unit):"
-        )
-        for topology in self.figures:
-            lines.append(f"  {topology:>9}: {self.bias(topology):+.2f}")
-        lines.append(
+        return super().summary_lines() + [
             f"cross-segment spillover (1 treated unit, controls sharing no queue "
             f"with it): {self.remote_spillover_mbps:+.2f} Mb/s"
-        )
-        return lines
+        ]
 
 
 def run_parking_lot_experiment(
@@ -240,7 +224,7 @@ def run_parking_lot_experiment(
     )
 
     figures = {
-        "single": packet_sweep_to_figure(
+        "single": sweep_to_figure(
             single_sweep,
             name="topo_parking[single]",
             description=(
@@ -250,7 +234,7 @@ def run_parking_lot_experiment(
                 f"shared drop-tail bottleneck"
             ),
         ),
-        "parking": packet_sweep_to_figure(
+        "parking": sweep_to_figure(
             parking_sweep,
             name="topo_parking[parking]",
             description=(

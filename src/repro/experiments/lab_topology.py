@@ -24,10 +24,9 @@ so results are deterministic and bit-identical for any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
+from repro.experiments.lab_common import BiasComparison, LabFigure, sweep_to_figure
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -109,7 +108,7 @@ def run_rtt_experiment(
         **scale,
     )
     spread = "/".join(f"{r:g}" for r in rtt_spread_ms)
-    return packet_sweep_to_figure(
+    return sweep_to_figure(
         sweep,
         name="topo_rtt",
         description=(
@@ -120,36 +119,14 @@ def run_rtt_experiment(
     )
 
 
-@dataclass
-class AqmBiasComparison:
+class AqmBiasComparison(BiasComparison):
     """The same allocation sweep under two or more queue disciplines.
 
-    ``figures[d]`` is the :class:`LabFigure` obtained under discipline
-    ``d``; :meth:`bias` reduces each to the quantity of interest — how far
-    the naive A/B estimate sits from the true total treatment effect.
+    ``figures[d]`` is the :class:`LabFigure` obtained under discipline ``d``.
     """
 
-    figures: dict[str, LabFigure]
-    allocation: float = 0.5
-
-    def bias(self, discipline: str, metric: str = "throughput_mbps") -> float:
-        """Naive A/B estimate minus the TTE at :attr:`allocation` (per unit)."""
-        figure = self.figures[discipline]
-        return figure.ab_estimate(metric, self.allocation) - figure.tte(metric)
-
-    def summary_lines(self) -> list[str]:
-        """Per-discipline figure summaries plus the bias comparison."""
-        lines: list[str] = []
-        for discipline, figure in self.figures.items():
-            lines.append(f"=== queue discipline: {discipline} ===")
-            lines.extend(figure.summary_lines())
-        lines.append("")
-        lines.append(
-            f"A/B-vs-TTE bias at {self.allocation:.0%} allocation (throughput, Mb/s per unit):"
-        )
-        for discipline in self.figures:
-            lines.append(f"  {discipline:>9}: {self.bias(discipline):+.2f}")
-        return lines
+    HEADING = "=== queue discipline: {} ==="
+    ROW = "{:>9}"
 
 
 def run_aqm_experiment(
@@ -207,7 +184,7 @@ def run_aqm_experiment(
             cache=cache,
             **scale,
         )
-        figures[discipline] = packet_sweep_to_figure(
+        figures[discipline] = sweep_to_figure(
             sweep,
             name=f"{name}[{discipline}]",
             description=(

@@ -7,19 +7,19 @@ and retransmission rate.  Every point of the sweep is one possible A/B
 test; the endpoints give the total treatment effect; the control group's
 drift gives the spillover.
 
-The harness produces :class:`~repro.core.estimands.PotentialOutcomeCurve`
-objects so the causal machinery of :mod:`repro.core` can be applied
-directly to the lab data — the same workflow an experimenter would follow.
+The sweeps return an :class:`~repro.core.estimands.AllocationSweep`, whose
+potential-outcome curves carry the causal machinery of :mod:`repro.core`
+to the lab data — the same workflow an experimenter would follow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.estimands import PotentialOutcomeCurve
+from repro.core.estimands import LAB_METRICS, AllocationSweep
 from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.competition import (
     CompetitionModel,
@@ -33,14 +33,10 @@ from repro.runner.spec import ScenarioSpec
 
 __all__ = [
     "LabExperimentResult",
-    "LabSweepResult",
     "run_lab_experiment",
     "run_lab_sweep",
     "run_isolated_sweep",
 ]
-
-#: Metrics measured for each application in a lab experiment.
-LAB_METRICS: tuple[str, ...] = ("throughput_mbps", "retransmit_fraction")
 
 
 @dataclass(frozen=True)
@@ -80,10 +76,6 @@ class LabExperimentResult:
         return [
             float(source[a.app_id]) for a in self.applications if a.treated == treated
         ]
-
-    def ab_estimate(self, metric: str) -> float:
-        """The naive A/B estimate: treated mean minus control mean."""
-        return self.group_mean(metric, True) - self.group_mean(metric, False)
 
 
 def run_lab_experiment(
@@ -130,56 +122,6 @@ def run_lab_experiment(
     )
 
 
-@dataclass
-class LabSweepResult:
-    """Results of sweeping the number of treated units from 0 to n.
-
-    Attributes
-    ----------
-    n_units:
-        Total number of applications in every run.
-    results:
-        ``results[k]`` is the :class:`LabExperimentResult` with ``k`` treated
-        applications.
-    """
-
-    n_units: int
-    results: dict[int, LabExperimentResult] = field(default_factory=dict)
-
-    @property
-    def allocations(self) -> list[float]:
-        """Treatment allocations covered by the sweep."""
-        return [k / self.n_units for k in sorted(self.results)]
-
-    def curve(self, metric: str) -> PotentialOutcomeCurve:
-        """Potential-outcome curve ``mu_T(p)``, ``mu_C(p)`` for a metric."""
-        mu_t: dict[float, float] = {}
-        mu_c: dict[float, float] = {}
-        for k, result in self.results.items():
-            p = k / self.n_units
-            if k > 0:
-                mu_t[p] = result.group_mean(metric, treated=True)
-            if k < self.n_units:
-                mu_c[p] = result.group_mean(metric, treated=False)
-        return PotentialOutcomeCurve(metric, mu_t, mu_c)
-
-    def ab_estimates(self, metric: str) -> dict[float, float]:
-        """Naive A/B estimates at every interior allocation of the sweep."""
-        estimates: dict[float, float] = {}
-        for k, result in self.results.items():
-            if 0 < k < self.n_units:
-                estimates[k / self.n_units] = result.ab_estimate(metric)
-        return estimates
-
-    def tte(self, metric: str) -> float:
-        """Total treatment effect measured by the sweep's endpoints."""
-        return self.curve(metric).tte()
-
-    def spillover(self, metric: str, allocation: float) -> float:
-        """Spillover on control units at the given allocation."""
-        return self.curve(metric).spillover(allocation)
-
-
 def run_lab_sweep(
     n_units: int,
     treatment_factory: Callable[[int], Application],
@@ -191,7 +133,7 @@ def run_lab_sweep(
     jobs: int = 1,
     cache: ResultCache | None = None,
     executor: ParallelExecutor | None = None,
-) -> LabSweepResult:
+) -> AllocationSweep:
     """Sweep the number of treated applications from 0 to ``n_units``.
 
     Parameters
@@ -239,7 +181,7 @@ def run_lab_sweep(
             )
         )
     executor = executor or ParallelExecutor(jobs=jobs, cache=cache)
-    sweep = LabSweepResult(n_units=n_units)
+    sweep = AllocationSweep(n_units=n_units)
     for k, result in enumerate(executor.map(specs)):
         sweep.results[k] = result
     return sweep
@@ -251,7 +193,7 @@ def run_isolated_sweep(
     control_factory: Callable[[int], Application],
     link: BottleneckLink | None = None,
     model: CompetitionModel | None = None,
-) -> LabSweepResult:
+) -> AllocationSweep:
     """Sweep in which every application has a dedicated (non-shared) link.
 
     This realizes the "no interference" world of the paper's Figure 1a:
@@ -268,7 +210,7 @@ def run_isolated_sweep(
         buffer_bdp=link.buffer_bdp,
         mtu_bytes=link.mtu_bytes,
     )
-    sweep = LabSweepResult(n_units=n_units)
+    sweep = AllocationSweep(n_units=n_units)
     for k in range(n_units + 1):
         throughput: dict[int, float] = {}
         retrans: dict[int, float] = {}

@@ -237,8 +237,8 @@ class Network:
     mss_bytes:
         Segment size used by every sender.
     queue_discipline:
-        Discipline of the default queue (``"droptail"``, ``"red"``,
-        ``"codel"``).
+        Discipline of the default queue (a name from
+        :data:`~repro.netsim.packet.queue.QUEUE_DISCIPLINES`).
     queue_params:
         Extra constructor parameters for the default queue's discipline.
     seed:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
+from repro.core.estimands import LAB_METRICS
 from repro.netsim.packet.network import Network, PathConfig, QueueConfig
 from repro.netsim.packet.tcp.base import normalize_ecn
 from repro.obs.metrics import EngineCounters
@@ -170,16 +171,11 @@ class PacketSimResult:
                 return f
         raise KeyError(f"no flow with id {flow_id}")
 
-    def group_mean_throughput(self, treated: bool) -> float:
-        """Mean application throughput (Mb/s) of one arm."""
-        values = [f.throughput_mbps for f in self.flows if f.treated == treated]
-        if not values:
-            raise ValueError("no flows in the requested arm")
-        return sum(values) / len(values)
-
-    def group_mean_retransmit(self, treated: bool) -> float:
-        """Mean retransmit fraction of one arm."""
-        values = [f.retransmit_fraction for f in self.flows if f.treated == treated]
+    def group_mean(self, metric: str, treated: bool) -> float:
+        """Mean of a metric over the treated or control applications."""
+        if metric not in LAB_METRICS:
+            raise KeyError(f"unknown lab metric {metric!r}; expected one of {LAB_METRICS}")
+        values = [getattr(f, metric) for f in self.flows if f.treated == treated]
         if not values:
             raise ValueError("no flows in the requested arm")
         return sum(values) / len(values)

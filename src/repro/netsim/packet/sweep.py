@@ -3,74 +3,27 @@
 Mirrors :func:`repro.netsim.fluid.lab.run_lab_sweep` but drives the
 discrete-event simulator instead of the fluid model: for every number of
 treated applications from 0 to ``n_units``, run a packet-level simulation
-and record each arm's mean throughput and retransmission fraction.  The
-result exposes the same :class:`~repro.core.estimands.PotentialOutcomeCurve`
-interface, so the causal machinery (TTE, spillover, SUTVA checks) applies
-unchanged — this is what the packet-vs-fluid ablation builds on.
+and record each arm's mean throughput and retransmission fraction.  Both
+sweeps return an :class:`~repro.core.estimands.AllocationSweep`, so the
+causal machinery (TTE, spillover, SUTVA checks) applies unchanged — this
+is what the packet-vs-fluid ablation builds on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
-from repro.core.estimands import PotentialOutcomeCurve
+from repro.core.estimands import AllocationSweep
 from repro.netsim.packet.network import PathConfig, QueueConfig
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
-from repro.netsim.packet.simulation import FlowConfig, PacketSimResult
+from repro.netsim.packet.simulation import FlowConfig
 from repro.runner.cache import ResultCache
 from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import ScenarioSpec
 
-__all__ = ["PacketSweepResult", "run_packet_sweep"]
-
-
-@dataclass
-class PacketSweepResult:
-    """Results of a packet-level allocation sweep.
-
-    Attributes
-    ----------
-    n_units:
-        Number of applications in every run.
-    results:
-        ``results[k]`` is the :class:`PacketSimResult` with ``k`` treated
-        applications.
-    """
-
-    n_units: int
-    results: dict[int, PacketSimResult] = field(default_factory=dict)
-
-    def curve(self, metric: str) -> PotentialOutcomeCurve:
-        """Potential-outcome curve for ``throughput_mbps`` or ``retransmit_fraction``."""
-        if metric not in ("throughput_mbps", "retransmit_fraction"):
-            raise KeyError(
-                f"unknown metric {metric!r}; expected 'throughput_mbps' or 'retransmit_fraction'"
-            )
-        mu_t: dict[float, float] = {}
-        mu_c: dict[float, float] = {}
-        for k, result in self.results.items():
-            p = k / self.n_units
-            if metric == "throughput_mbps":
-                if k > 0:
-                    mu_t[p] = result.group_mean_throughput(True)
-                if k < self.n_units:
-                    mu_c[p] = result.group_mean_throughput(False)
-            else:
-                if k > 0:
-                    mu_t[p] = result.group_mean_retransmit(True)
-                if k < self.n_units:
-                    mu_c[p] = result.group_mean_retransmit(False)
-        return PotentialOutcomeCurve(metric, mu_t, mu_c)
-
-    def tte(self, metric: str) -> float:
-        """Total treatment effect measured by the sweep's endpoints."""
-        return self.curve(metric).tte()
-
-    def ab_estimate(self, metric: str, allocation: float) -> float:
-        """Naive A/B estimate at an interior allocation."""
-        return self.curve(metric).ate(allocation)
+__all__ = ["run_packet_sweep"]
 
 
 def _discipline_consumes_seed(
@@ -134,7 +87,7 @@ def run_packet_sweep(
     jobs: int = 1,
     cache: ResultCache | None = None,
     executor: ParallelExecutor | None = None,
-) -> PacketSweepResult:
+) -> AllocationSweep:
     """Sweep the number of treated applications on the packet simulator.
 
     Parameters
@@ -154,8 +107,9 @@ def run_packet_sweep(
         default capacity is scaled down from the paper's 10 Gb/s so the
         simulation finishes quickly; the sharing behaviour is rate-free.
     queue_discipline, queue_params:
-        Bottleneck queue discipline (``"droptail"``/``"red"``/``"codel"``/
-        ``"fq_codel"``) and its extra parameters, applied to every arm.
+        Bottleneck queue discipline (a name from
+        :data:`~repro.netsim.packet.queue.QUEUE_DISCIPLINES`) and its extra
+        parameters, applied to every arm.
     extra_queues:
         Additional named queues (e.g. a parking-lot chain) added to every
         arm; factory-supplied paths may route through them.
@@ -295,7 +249,7 @@ def run_packet_sweep(
         )
 
     executor = executor or ParallelExecutor(jobs=jobs, cache=cache)
-    sweep = PacketSweepResult(n_units=n_units)
+    sweep = AllocationSweep(n_units=n_units)
     for k, result in zip(allocations, executor.map(specs)):
         sweep.results[int(k)] = result
     return sweep

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.estimands import EstimandSet, PotentialOutcomeCurve, sutva_holds
+from repro.core.estimands import (
+    AllocationSweep,
+    EstimandSet,
+    PotentialOutcomeCurve,
+    sutva_holds,
+)
 
 
 def interference_curve():
@@ -133,3 +138,34 @@ class TestSutvaCheck:
         curve = PotentialOutcomeCurve("m", mu_t, mu_c)
         assert not sutva_holds(curve, tolerance=1e-9)
         assert sutva_holds(curve, tolerance=0.01, relative=True)
+
+
+class _Run:
+    """A sweep arm reduced to what :class:`AllocationSweep` reads."""
+
+    def __init__(self, treated: float, control: float):
+        self.means = {True: treated, False: control}
+
+    def group_mean(self, metric: str, treated: bool) -> float:
+        if metric != "throughput":
+            raise KeyError(metric)
+        return self.means[treated]
+
+
+class TestAllocationSweep:
+    def sweep(self) -> AllocationSweep:
+        # k = 0..2 of two units treated; the endpoints' missing arm is never read.
+        runs = {0: _Run(None, 1.0), 1: _Run(1.4, 0.7), 2: _Run(1.0, None)}
+        return AllocationSweep(2, runs)
+
+    def test_reads_curve_and_estimands_from_group_means(self):
+        sweep = self.sweep()
+        assert sweep.allocations == [0.0, 0.5, 1.0]
+        assert sweep.tte("throughput") == pytest.approx(0.0)
+        assert sweep.ab_estimate("throughput", 0.5) == pytest.approx(0.7)
+        assert sweep.ab_estimates("throughput") == {0.5: pytest.approx(0.7)}
+        assert sweep.spillover("throughput", 0.5) == pytest.approx(-0.3)
+
+    def test_unknown_metric_raises(self):
+        with pytest.raises(KeyError):
+            self.sweep().curve("nope")

@@ -138,6 +138,7 @@ class TestLabFigureHelpers:
 
     def test_sweep_to_figure_builds_from_any_sweep(self):
         from repro.netsim.fluid import Application, run_lab_sweep
+        from repro.netsim.packet import FlowConfig, run_packet_sweep
 
         sweep = run_lab_sweep(
             4, lambda i: Application(i, connections=2), lambda i: Application(i)
@@ -146,3 +147,19 @@ class TestLabFigureHelpers:
         assert isinstance(figure, LabFigure)
         assert len(figure.rows) == 5
         assert figure.name == "custom"
+
+        packet_sweep = run_packet_sweep(
+            2,
+            lambda i: FlowConfig(i, connections=2),
+            lambda i: FlowConfig(i),
+            capacity_mbps=10.0,
+            duration_s=2.0,
+            warmup_s=0.5,
+        )
+        packet_figure = sweep_to_figure(packet_sweep, "packet", "a two-unit packet sweep")
+        assert [row.n_treated for row in packet_figure.rows] == [0, 1, 2]
+        middle = packet_figure.rows[1]
+        assert middle.ab_throughput_effect == pytest.approx(
+            packet_figure.ab_estimate("throughput_mbps", 0.5)
+        )
+        assert packet_figure.tte("throughput_mbps") == packet_sweep.tte("throughput_mbps")

@@ -202,7 +202,8 @@ class TestPacketSimulation:
         result = simulate(
             flows, capacity_mbps=30, base_rtt_ms=20, duration_s=15, warmup_s=5
         )
-        ratio = result.group_mean_throughput(True) / result.group_mean_throughput(False)
+        treated = result.group_mean("throughput_mbps", True)
+        ratio = treated / result.group_mean("throughput_mbps", False)
         assert 1.5 < ratio < 2.6
 
     def test_full_connection_switch_has_no_throughput_tte(self):
@@ -267,4 +268,6 @@ class TestPacketSimulation:
     def test_group_mean_requires_members(self):
         result = simulate([FlowConfig(0)], capacity_mbps=10, duration_s=5, warmup_s=1)
         with pytest.raises(ValueError):
-            result.group_mean_throughput(True)
+            result.group_mean("throughput_mbps", True)
+        with pytest.raises(KeyError):
+            result.group_mean("nope", False)
